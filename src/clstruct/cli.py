@@ -33,6 +33,18 @@ _INPUT_ERRORS = (ParseError, Disconnected, EndpointOutOfRange, BadRotation,
                  SwitchedContraction, DegreeTooSmall, OSError)
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 1 (not 2) on usage errors."""
 
@@ -55,8 +67,9 @@ def _build_parser():
     s.add_argument("--q", type=int)
     s.add_argument("--input")
     s.add_argument("--format", choices=("text", "json"), default="text")
-    s.add_argument("--threads", type=int, default=1)
-    s.add_argument("--budget", type=int, default=classify.DEFAULT_BUDGET)
+    s.add_argument("--threads", type=_int_at_least(1), default=1)
+    s.add_argument("--budget", type=_int_at_least(0),
+                   default=classify.DEFAULT_BUDGET)
 
     t = sub.add_parser("trace", help="boundary-trace a scheme file")
     t.add_argument("--input", required=True)
@@ -115,8 +128,15 @@ def run() -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as the parsers do (str.splitlines) up to the bad byte
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"not UTF-8 text: {exc.reason} "
+                               f"at byte {exc.start}") from None
 
 
 def _dump(doc) -> str:
@@ -284,7 +304,8 @@ def _cmd_render(args) -> int:
         print(_dump(doc), end="")
         return 0
     if args.format == "dot":
-        lines = [f'graph "{name}" {{']
+        quoted = name.replace("\\", "\\\\").replace('"', '\\"')
+        lines = [f'graph "{quoted}" {{']
         for v in range(g.n_vertices):
             lines.append(f"  {v};")
         for e, (u, v) in enumerate(g.edges):
@@ -296,13 +317,18 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _xml_text(text: str) -> str:
+    """Escape text for XML character data (quotes need no escape there)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _render_svg(name, s) -> str:
     g = s.graph
     pos = _layout(g)
     parts = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<svg xmlns="http://www.w3.org/2000/svg" width="400" '
              'height="400" viewBox="0 0 400 400">',
-             f'  <title>{name}</title>']
+             f'  <title>{_xml_text(name)}</title>']
     seen_pair = {}
     for e, (u, v) in enumerate(g.edges):
         mark = _edge_mark(s, e)

@@ -5,8 +5,11 @@ Vertices are dense integers ``0..V-1``.  Edge ``e`` with endpoints
 ``2e + 1`` at ``v``.  A loop owns two distinct darts at the same vertex
 and therefore contributes 2 to the degree.
 
-Everything here targets small instances (the brute-force isomorphism
-machinery caps at about ten vertices); none of it is meant to scale.
+Everything here targets small instances.  Canonical forms and
+automorphism groups come from one exact labeling search, pruned by
+prefix bounds, that finds the lexicographically least relabeled edge
+list and every relabeling reaching it; it keeps a ten-vertex cap by
+default.  Nothing else here is meant to scale.
 """
 from __future__ import annotations
 
@@ -331,53 +334,104 @@ def fundamental_cycle_basis(g: Multigraph) -> tuple:
     return tuple(basis)
 
 
-# --- isomorphism machinery (brute force, degree-class restricted) ---
+# --- isomorphism machinery (one pruned labeling search) ---
 
-def _degree_blocks(g: Multigraph):
-    """Vertices grouped by degree; block order by ascending degree."""
-    by_deg = defaultdict(list)
-    for v, d in enumerate(g.degrees()):
-        by_deg[d].append(v)
-    return [by_deg[d] for d in sorted(by_deg)]
+def _least_labelings(g: Multigraph):
+    """Lex-least relabeled edge list and every relabeling that reaches it.
 
+    A relabeling hands out new ids block by block in ascending degree
+    order, so any two isomorphic graphs range over the same relabeled
+    edge lists; the least sorted list of ``(min, max)`` pairs is the
+    canonical form.  Returns ``(form, minimizers)`` with each minimizer
+    a tuple ``phi`` (``phi[v]`` is the new id of v); the minimizers are
+    one coset of the automorphism group.
 
-def _relabelings(g: Multigraph):
-    """All degree-preserving relabelings onto 0..V-1 (canonical targets).
-
-    New ids are handed out block by block in ascending degree order, so
-    any two isomorphic graphs range over the same relabeled edge lists.
+    Labels 0, 1, ... are assigned one at a time, each to an unlabeled
+    vertex of the degree block it belongs to.  Once labels ``< k`` are
+    placed, let ``a`` be the smallest label whose vertex still has an
+    unlabeled neighbour.  Every edge of the final list that starts
+    below ``a``, or at ``a`` and ends below ``k``, is already known and
+    forms a prefix; the next entry is at least ``(a, k)``, or
+    ``(k, k)`` when there is no such ``a``.  A branch whose prefix or
+    bound is worse than the best complete list is dropped.  When some
+    candidate for label k is joined to ``a``, only the candidates with
+    the most edges to ``a`` are tried: any other puts a larger entry at
+    that position.  Ties are kept.  Edge ``(x, y)`` is coded ``x*n + y``.
     """
-    blocks = _degree_blocks(g)
-    starts = []
-    s = 0
-    for b in blocks:
-        starts.append(s)
-        s += len(b)
-    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        phi = [0] * g.n_vertices
-        for block_perm, start in zip(perms, starts):
-            for offset, v in enumerate(block_perm):
-                phi[v] = start + offset
-        yield phi
+    n = g.n_vertices
+    deg = g.degrees()
+    nbrs = [{} for _ in range(n)]
+    for (u, w) in g.edges:
+        nbrs[u][w] = nbrs[u].get(w, 0) + 1
+        if u != w:
+            nbrs[w][u] = nbrs[w].get(u, 0) + 1
+    label_deg = sorted(deg)
+    lab = [-1] * n
+    order = []
+    best = None
+    minimizers = []
+
+    def search(k):
+        nonlocal best
+        prefix = []
+        a = -1
+        for x, u in enumerate(order):
+            row = []
+            for w, m in nbrs[u].items():
+                y = lab[w]
+                if y < 0:
+                    a = x
+                elif y >= x:
+                    row += [x * n + y] * m
+            row.sort()
+            prefix += row
+            if a >= 0:
+                break
+        if best is not None:
+            m = len(prefix)
+            head = best[:m]
+            if prefix > head:
+                return
+            if prefix == head and m < len(best):
+                bound = a * n + k if a >= 0 else k * n + k
+                if bound > best[m]:
+                    return
+        if k == n:
+            if best is None or prefix < best:
+                best = prefix
+                minimizers.clear()
+            minimizers.append(tuple(lab))
+            return
+        cands = [v for v in range(n) if lab[v] < 0 and deg[v] == label_deg[k]]
+        if a >= 0:
+            at_a = nbrs[order[a]]
+            top = max(at_a.get(v, 0) for v in cands)
+            if top:
+                cands = [v for v in cands if at_a.get(v, 0) == top]
+        for v in cands:
+            lab[v] = k
+            order.append(v)
+            search(k + 1)
+            order.pop()
+            lab[v] = -1
+
+    search(0)
+    return tuple(divmod(c, n) for c in best), minimizers
 
 
 def canonical_form(g: Multigraph, max_vertices: int = 10):
     """Canonical label: (V, lexicographically least relabeled edge list).
 
-    Equal exactly for isomorphic graphs.  Brute force over vertex
-    relabelings within degree classes; capped by max_vertices.
+    Equal exactly for isomorphic graphs.  The least list is taken over
+    the relabelings that number the vertices in ascending degree order;
+    a pruned search (``_least_labelings``) finds it without trying them
+    all.  Capped by max_vertices.
     """
     if g.n_vertices > max_vertices:
         raise TooLarge(
             f"{g.n_vertices} vertices exceeds the canonical_form cap "
             f"{max_vertices}")
-    best = None
-    for phi in _relabelings(g):
-        relab = sorted(tuple(sorted((phi[u], phi[v]))) for (u, v) in g.edges)
-        key = tuple(relab)
-        if best is None or key < best:
-            best = key
-    return (g.n_vertices, best if best is not None else ())
+    return (g.n_vertices, _least_labelings(g)[0])
 
 
 def isomorphic(g: Multigraph, h: Multigraph, max_vertices: int = 10) -> bool:
@@ -392,7 +446,9 @@ def isomorphic(g: Multigraph, h: Multigraph, max_vertices: int = 10) -> bool:
 def automorphisms(g: Multigraph, max_vertices: int = 10):
     """All automorphisms as (vertex permutation, edge permutation) pairs.
 
-    A vertex permutation that preserves the edge multiset can be paired
+    The vertex permutations are ``phi0^-1 . phi`` over the relabelings
+    ``phi`` that reach the canonical form (``phi0`` the first of them),
+    in ascending order, so the identity comes first.  Each is paired
     with every edge bijection that respects it: parallel edges may be
     permuted freely within their endpoint class.  The result always
     contains the identity pair and is closed under composition.
@@ -401,19 +457,22 @@ def automorphisms(g: Multigraph, max_vertices: int = 10):
         raise TooLarge(
             f"{g.n_vertices} vertices exceeds the automorphisms cap "
             f"{max_vertices}")
+    _form, minimizers = _least_labelings(g)
+    inverse = [0] * g.n_vertices
+    for v, label in enumerate(minimizers[0]):
+        inverse[label] = v
+    vperms = sorted(tuple(inverse[label] for label in phi)
+                    for phi in minimizers)
+
     by_pair = defaultdict(list)
     for e, (u, v) in enumerate(g.edges):
         by_pair[tuple(sorted((u, v)))].append(e)
-
+    pairs = sorted(by_pair)
     out = []
-    for phi in _vertex_bijections(g):
+    for phi in vperms:
         image = defaultdict(list)
         for e, (u, v) in enumerate(g.edges):
             image[tuple(sorted((phi[u], phi[v])))].append(e)
-        if {p: len(es) for p, es in image.items()} != \
-                {p: len(es) for p, es in by_pair.items()}:
-            continue
-        pairs = sorted(by_pair)
         # per endpoint class, all ways to assign sources onto targets
         options = []
         for p in pairs:
@@ -426,19 +485,8 @@ def automorphisms(g: Multigraph, max_vertices: int = 10):
             for group in choice:
                 for (src, dst) in group:
                     eperm[src] = dst
-            out.append((tuple(phi), tuple(eperm)))
+            out.append((phi, tuple(eperm)))
     return tuple(out)
-
-
-def _vertex_bijections(g: Multigraph):
-    """Degree-preserving vertex permutations of g onto itself."""
-    blocks = _degree_blocks(g)
-    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        phi = [0] * g.n_vertices
-        for block, perm in zip(blocks, perms):
-            for v, w in zip(block, perm):
-                phi[v] = w
-        yield phi
 
 
 # --- text format ---

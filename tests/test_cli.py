@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -210,3 +211,59 @@ def test_verify_failure_exits_4(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL closed-form boundary cases: simulated defect" in out
     assert "7/8 suites passed" in out
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    p = tmp_path / "bom16.txt"
+    p.write_bytes(b"\xff\xfeg\x00r\x00a\x00p\x00h\x00")
+    assert cli.main(["trace", "--input", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("clstruct: error: line 1: not UTF-8 text")
+    p.write_bytes(THETA.encode().replace(b"vertex 1", b"vertex \xe9"))
+    assert cli.main(["structures", "--input", str(p)]) == 2
+    assert "line 3: not UTF-8 text" in capsys.readouterr().err
+
+
+ODD_NAME = 'a<b&"\\'
+
+
+def test_render_svg_escapes_the_name(tmp_path, capsys):
+    p = tmp_path / "odd.txt"
+    p.write_text(THETA.replace("graph theta", f"graph {ODD_NAME}"))
+    assert cli.main(["render", "--input", str(p), "--format", "svg"]) == 0
+    root = ET.fromstring(capsys.readouterr().out)
+    titles = [t.text for t in root.iter() if t.tag.endswith("title")]
+    assert titles == [ODD_NAME]
+
+
+def test_render_dot_quotes_the_name(tmp_path, capsys):
+    p = tmp_path / "odd.txt"
+    p.write_text(THETA.replace("graph theta", f"graph {ODD_NAME}"))
+    assert cli.main(["render", "--input", str(p), "--format", "dot"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    # a quoted id: backslash escapes the next character, '"' ends it
+    match = re.fullmatch(r'graph "((?:[^"\\]|\\.)*)" \{', first)
+    assert match is not None
+    assert re.sub(r"\\(.)", r"\1", match.group(1)) == ODD_NAME
+
+
+def test_plain_names_render_unchanged(theta_file, capsys):
+    assert cli.main(["render", "--input", theta_file, "--format",
+                     "svg"]) == 0
+    assert "  <title>theta</title>\n" in capsys.readouterr().out
+    assert cli.main(["render", "--input", theta_file, "--format",
+                     "dot"]) == 0
+    assert capsys.readouterr().out.startswith('graph "theta" {\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ["--threads", "0"], ["--threads", "-2"], ["--budget", "-1"],
+    ["--threads", "one"]])
+def test_structures_rejects_bad_counts(argv, capsys):
+    assert cli.main(["structures", "--q", "2"] + argv) == 1
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_structures_accepts_zero_budget(capsys):
+    # zero is a valid budget; it is exceeded, which is exit 3
+    assert cli.main(["structures", "--q", "2", "--budget", "0"]) == 3

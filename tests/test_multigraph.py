@@ -1,5 +1,10 @@
+import itertools
+import random
+from collections import defaultdict
+
 import pytest
 
+from clstruct import classify, cli
 from clstruct import multigraph as mg
 from clstruct.errors import (Disconnected, EndpointOutOfRange, ParseError,
                              TooLarge)
@@ -163,6 +168,128 @@ def test_isomorphism():
     relabeled = mg.build(2, [(1, 1), (0, 1), (0, 0)])
     assert mg.canonical_form(dumbbell()) == mg.canonical_form(relabeled)
     assert mg.canonical_form(theta()) != mg.canonical_form(dumbbell())
+
+
+# --- brute-force oracle for the labeling search ---
+
+def _block_maps(g, targets):
+    """Every map sending the degree blocks of g (ascending degree) onto
+    targets(blocks), block by block."""
+    by_deg = defaultdict(list)
+    for v, d in enumerate(g.degrees()):
+        by_deg[d].append(v)
+    blocks = [by_deg[d] for d in sorted(by_deg)]
+    for perms in itertools.product(*(itertools.permutations(b)
+                                     for b in targets(blocks))):
+        phi = [0] * g.n_vertices
+        for block, perm in zip(blocks, perms):
+            for v, w in zip(block, perm):
+                phi[v] = w
+        yield tuple(phi)
+
+
+def _relabeled_edges(g, phi):
+    return tuple(sorted(tuple(sorted((phi[u], phi[v]))) for (u, v) in g.edges))
+
+
+def _new_ids(blocks):
+    """Ids 0..V-1 handed out block by block."""
+    out, start = [], 0
+    for b in blocks:
+        out.append(range(start, start + len(b)))
+        start += len(b)
+    return out
+
+
+def oracle_canonical_form(g):
+    """Least relabeled edge list over every relabeling."""
+    return (g.n_vertices,
+            min(_relabeled_edges(g, phi) for phi in _block_maps(g, _new_ids)))
+
+
+def oracle_automorphisms(g):
+    """Every vertex permutation that keeps the edge multiset, paired with
+    every edge bijection that respects it."""
+    own = _relabeled_edges(g, range(g.n_vertices))
+    by_pair = defaultdict(list)
+    for e, (u, v) in enumerate(g.edges):
+        by_pair[tuple(sorted((u, v)))].append(e)
+    out = []
+    for phi in _block_maps(g, lambda blocks: blocks):
+        if _relabeled_edges(g, phi) != own:
+            continue
+        image = defaultdict(list)
+        for e, (u, v) in enumerate(g.edges):
+            image[tuple(sorted((phi[u], phi[v])))].append(e)
+        options = [[tuple(zip(image[p], pi))
+                    for pi in itertools.permutations(by_pair[p])]
+                   for p in sorted(by_pair)]
+        for choice in itertools.product(*options):
+            eperm = [None] * g.n_edges
+            for group in choice:
+                for (src, dst) in group:
+                    eperm[src] = dst
+            out.append((phi, tuple(eperm)))
+    return out
+
+
+def _assert_matches_oracle(g):
+    assert mg.canonical_form(g) == oracle_canonical_form(g), g
+    auts = mg.automorphisms(g)
+    assert auts[0] == (tuple(range(g.n_vertices)), tuple(range(g.n_edges)))
+    assert sorted(auts) == sorted(oracle_automorphisms(g)), g
+
+
+def _connected_labeled_cubic(n):
+    out = []
+    for edges in classify._labeled_cubic(n):
+        g = mg.Multigraph(n, edges)
+        if mg._connected(g):
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_search_matches_oracle_on_every_labeled_cubic_graph(n):
+    for g in _connected_labeled_cubic(n):
+        _assert_matches_oracle(g)
+
+
+def test_search_matches_oracle_on_sampled_six_vertex_cubic_graphs():
+    rng = random.Random(6)
+    for g in rng.sample(_connected_labeled_cubic(6), 200):
+        _assert_matches_oracle(g)
+
+
+def test_search_matches_oracle_on_random_multigraphs():
+    # loops, parallel edges and several degree blocks
+    rng = random.Random(7)
+    for _ in range(300):
+        _assert_matches_oracle(cli.random_multigraph(rng, max_vertices=7))
+
+
+def test_search_matches_oracle_on_disconnected_graphs():
+    # not built by mg.build, but both functions accept them
+    for n, edges in [(2, ()), (3, ((0, 0),)), (4, ((0, 1), (2, 3))),
+                     (4, ((0, 1), (0, 1), (2, 3), (3, 3)))]:
+        _assert_matches_oracle(mg.Multigraph(n, edges))
+
+
+def test_cubic_census_against_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(g.n_vertices))
+        h.add_edges_from(g.edges)
+        return h
+
+    # OEIS A005967: connected cubic multigraphs with loops on 2(q-1) nodes
+    census = {q: classify.generate_cubic_graphs(q) for q in (2, 3, 4)}
+    assert {q: len(gs) for q, gs in census.items()} == {2: 2, 3: 5, 4: 17}
+    graphs = [to_nx(g) for g in census[4]]
+    for a, b in itertools.combinations(graphs, 2):
+        assert not nx.is_isomorphic(a, b)
 
 
 def test_parse_and_format_round_trip():
