@@ -12,6 +12,18 @@ order starts at its smallest dart), giving (deg(v)-1)! options per
 vertex, and are deliberately not quotiented by reflection — the
 reflected rotations are genuinely different schemes and may carry the
 realizability witnesses.
+
+Search: a vertex flip (reverse the rotation at v, toggle the signs of
+its non-loop edges) keeps the boundary count and maps anchored
+rotations onto anchored rotations, so realizability is a property of a
+sign table's coset modulo the cut space (sums of vertex cuts), and each
+coset holds 2^(V-1) tables.  Per 2-connected component the 2^q tables
+that are 0 on a spanning tree represent the cosets; one walk over the
+rotations tests every representative still unrealized with a
+single-orbit strip test, and each realizable one contributes its whole
+coset.  Witnesses come from one more such walk, on the whole graph:
+each realizable table gets the first rotation, in enumeration order,
+that makes it a strip.
 """
 from __future__ import annotations
 
@@ -20,6 +32,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import multigraph as mg
 from . import scheme as sch
@@ -128,7 +141,11 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     Works per 2-connected component and recombines: a scheme is a strip
     exactly when each component subscheme is one, so a sign table is
     realizable iff its restriction to every component is realizable on
-    that component, with bridge signs free.  Returns a sorted tuple.
+    that component, with bridge signs free.  On a component only the
+    2^q coset representatives (tables 0 on a spanning tree) are
+    searched, rotation-outer, and each realizable one stands for its
+    whole coset of vertex-flip toggles.  ``threads`` splits the
+    representatives over a thread pool.  Returns a sorted tuple.
     """
     if not mg.is_cyclic_part(g):
         raise NotCyclicPart("realizable_signs needs the cyclic part")
@@ -169,25 +186,60 @@ def _component_realizable(sub: Multigraph, threads: int,
     if budget is not None and total > budget:
         raise BudgetExceeded(
             f"{total} schemes on a component exceed the budget {budget}")
-    n_signs = 1 << sub.n_edges
-    sign_list = list(itertools.product((0, 1), repeat=sub.n_edges))
+    E = sub.n_edges
+    _tree, free = mg._spanning_tree(sub)
+    reps = []
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        signs = [0] * E
+        for e, x in zip(free, bits):
+            signs[e] = x
+        reps.append(tuple(signs))
 
     def scan(chunk):
-        found = []
-        for idx in chunk:
-            signs = sign_list[idx]
-            for rotation in _rotations(sub):
-                if sch.boundary_trace(Scheme(sub, rotation, signs)).b == 1:
-                    found.append(signs)
-                    break
-        return found
+        return list(_strip_witnesses(sub, chunk))
 
-    if threads <= 1 or n_signs < 2 * threads:
-        return scan(range(n_signs))
-    chunks = [range(i, n_signs, threads) for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(scan, chunks))
-    return sorted(x for part in parts for x in part)
+    if threads <= 1 or len(reps) < 2 * threads:
+        found = scan(reps)
+    else:
+        chunks = [reps[i::threads] for i in range(threads)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            found = [x for part in pool.map(scan, chunks) for x in part]
+
+    # every table of a realizable coset: rep xor a sum of vertex cuts
+    span = [0]
+    for v in range(sub.n_vertices - 1):
+        cut = 0
+        for e, (a, b) in enumerate(sub.edges):
+            if (a == v) != (b == v):
+                cut |= 1 << (E - 1 - e)
+        span += [x ^ cut for x in span]
+    # packed with edge 0 in the top bit, int order is table order
+    tables = sorted(int("".join(map(str, rep)), 2) ^ x
+                    for rep in found for x in span)
+    return [tuple(map(int, f"{x:0{E}b}")) for x in tables]
+
+
+def _strip_witnesses(g: Multigraph, tables) -> dict:
+    """Map each table to the first rotation, in ``_rotations`` order,
+    that makes it a strip; tables no rotation makes a strip are absent.
+
+    Rotation-outer: one turn table per rotation serves every table
+    still without a witness, and the walk ends once none is left.
+    """
+    pending = list(tables)
+    witnesses = {}
+    for rotation in _rotations(g):
+        if not pending:
+            break
+        turn = sch._turn_table(g.n_darts, rotation)
+        still = []
+        for signs in pending:
+            if sch._single_orbit_strip(turn, signs):
+                witnesses[signs] = rotation
+            else:
+                still.append(signs)
+        pending = still
+    return witnesses
 
 
 def realizable_signs_exhaustive(g: Multigraph,
@@ -227,40 +279,57 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     subset of 2-connected components maps one to the other, ignoring
     bridge coordinates.  Classes come sorted by representative
     (lexicographically least member).
+
+    A table's normal form packs it into an int, edge 0 in the top bit,
+    clears the bridges and complements each component whose smallest
+    edge is 1 (complementing a component flips only its own bits).  The
+    classes are the orbits of the automorphisms on normal forms, each
+    computed once.  ``witnesses[i]`` is the first rotation, in
+    ``_rotations`` order, that makes ``members[i]`` a strip; one
+    rotation-outer walk finds them for every realizable table at once.
     """
     realizable = realizable_signs(g, threads=threads, budget=budget)
     decomp = mg.bridges_and_components(g)
-    comp_edge_lists = [sorted(c.edges) for c in decomp.components]
-    bridges = decomp.bridges
-    eperms = sorted({ep for (_vp, ep) in mg.automorphisms(g)})
+    eperms = {ep for (_vp, ep) in mg.automorphisms(g)}
     E = g.n_edges
+    kept = (1 << E) - 1
+    for e in decomp.bridges:
+        kept ^= 1 << (E - 1 - e)
+    # (bit of the smallest edge, bits of all edges) per component
+    comp_bits = [(1 << (E - 1 - min(c.edges)),
+                  sum(1 << (E - 1 - e) for e in c.edges))
+                 for c in decomp.components]
 
-    def class_key(lam):
-        best = None
-        for ep in eperms:
-            base = [lam[ep[e]] for e in range(E)]
-            for flips in itertools.product((0, 1),
-                                           repeat=len(comp_edge_lists)):
-                cur = list(base)
-                for ci, flip in enumerate(flips):
-                    if flip:
-                        for e in comp_edge_lists[ci]:
-                            cur[e] ^= 1
-                for e in bridges:
-                    cur[e] = 0
-                key = tuple(cur)
-                if best is None or key < best:
-                    best = key
-        return best
+    # the point graph has no edge to permute and packs as ""
+    permuters = [itemgetter(*ep) for ep in eperms if ep]
 
+    def normal(text):
+        """The table packed into an int, edge 0 in the top bit, with
+        bridges cleared and each component's smallest edge made 0."""
+        x = int(text or "0", 2) & kept
+        for top, bits in comp_bits:
+            if x & top:
+                x ^= bits
+        return x
+
+    # Classes are the orbits of the automorphisms on normal forms; an
+    # orbit is listed once, when its first table comes up.
+    class_of = {}
     grouped = {}
     for lam in realizable:
-        grouped.setdefault(class_key(lam), []).append(lam)
+        text = "".join(map(str, lam))
+        x = normal(text)
+        if x not in class_of:
+            class_of[x] = x
+            for permute in permuters:
+                class_of[normal("".join(permute(text)))] = x
+        grouped.setdefault(class_of[x], []).append(lam)
 
+    witness = _strip_witnesses(g, realizable)
     classes = []
     for key in grouped:
         members = tuple(grouped[key])
-        witnesses = tuple(_witness_rotation(g, lam) for lam in members)
+        witnesses = tuple(witness[lam] for lam in members)
         rep_scheme = Scheme(g, witnesses[0], members[0])
         classes.append(StructureClass(
             graph=g,
@@ -270,13 +339,6 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
             surface=sch.surface_type(rep_scheme)))
     classes.sort(key=lambda c: c.representative)
     return tuple(classes)
-
-
-def _witness_rotation(g: Multigraph, signs):
-    for rotation in _rotations(g):
-        if sch.boundary_trace(Scheme(g, rotation, signs)).b == 1:
-            return rotation
-    raise AssertionError(f"no strip rotation for realizable signs {signs}")
 
 
 @dataclass(frozen=True)

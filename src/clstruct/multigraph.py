@@ -274,13 +274,9 @@ def simple_cycles(g: Multigraph, max_edges: int = 12) -> tuple:
     return tuple(out)
 
 
-def fundamental_cycle_basis(g: Multigraph) -> tuple:
-    """One fundamental cycle per non-tree edge of a deterministic tree.
-
-    The spanning tree takes edges greedily by lowest id (loops are never
-    tree edges).  Returns edge sets ordered by their non-tree edge id;
-    the list length equals cycle_rank(g).
-    """
+def _spanning_tree(g: Multigraph):
+    """Tree edges taken greedily by lowest id (loops never join), and
+    the remaining edges; both lists ascend."""
     parent = list(range(g.n_vertices))
 
     def find(x):
@@ -298,7 +294,17 @@ def fundamental_cycle_basis(g: Multigraph) -> tuple:
             tree.append(e)
         else:
             extra.append(e)
+    return tree, extra
 
+
+def fundamental_cycle_basis(g: Multigraph) -> tuple:
+    """One fundamental cycle per non-tree edge of a deterministic tree.
+
+    The spanning tree takes edges greedily by lowest id (loops are never
+    tree edges).  Returns edge sets ordered by their non-tree edge id;
+    the list length equals cycle_rank(g).
+    """
+    tree, extra = _spanning_tree(g)
     tree_adj = defaultdict(list)
     for e in tree:
         u, v = g.edges[e]

@@ -75,11 +75,17 @@ def make_scheme(g: Multigraph, rotation, signs) -> Scheme:
 #
 # States are dart-sides (h, s) with s in {0, 1}, encoded as 2h + s.
 # Crossing the band of h lands on its partner dart k = h ^ 1 with side
-# s' = s xor sign(edge); the walk then turns around the vertex disk of
-# k: to the rotation successor of k when s' = 0, to the predecessor
-# when s' = 1.  Orbits of this successor come in mirror pairs (the two
-# sides of one boundary circle), so b = orbits / 2, plus one circle per
-# dartless vertex (a bare disk).
+# s' = s xor sign(edge), that is on state 2k + s' = (2h + s) ^ 2 ^ sign;
+# the walk then turns around the vertex disk of k: to the rotation
+# successor of k when s' = 0, to the predecessor when s' = 1.  Orbits of
+# this successor come in mirror pairs (the two sides of one boundary
+# circle), so b = orbits / 2, plus one circle per dartless vertex (a
+# bare disk).
+#
+# The turn is one merged table per rotation, indexed by the state
+# 2k + s' and holding the next state 2h' + s' (h' the successor of k
+# when s' = 0, its predecessor when s' = 1), so a whole step is
+# ``turn[state ^ 2 ^ signs[state >> 2]]``.
 
 
 @dataclass(frozen=True)
@@ -91,30 +97,45 @@ class BoundaryTrace:
     b: int
 
 
-def _rotation_tables(s: Scheme):
-    nd = s.graph.n_darts
-    rot_next = [0] * nd
-    rot_prev = [0] * nd
-    for cyc in s.rotation:
+def _turn_table(n_darts: int, rotation) -> list:
+    """Next state after turning around a vertex disk, by entry state."""
+    turn = [0] * (2 * n_darts)
+    for cyc in rotation:
         n = len(cyc)
         for j, h in enumerate(cyc):
-            rot_next[h] = cyc[(j + 1) % n]
-            rot_prev[h] = cyc[(j - 1) % n]
-    return rot_next, rot_prev
+            turn[2 * h] = 2 * cyc[(j + 1) % n]
+            turn[2 * h + 1] = 2 * cyc[j - 1] + 1
+    return turn
+
+
+def _single_orbit_strip(turn, signs) -> bool:
+    """True when the orbit of dart-side (0, 0) has n_darts states.
+
+    Its mirror orbit then has n_darts states as well, so together they
+    are all 2 n_darts states and the patch has one boundary circle.
+    The walk stops as soon as it passes n_darts.  With no darts the
+    patch is the point disk, which is a strip.  Exact on connected
+    graphs, where only the point graph has a dartless vertex.
+    """
+    n_darts = len(turn) >> 1
+    if not n_darts:
+        return True
+    st = turn[2 ^ signs[0]]
+    steps = 1
+    while st:
+        if steps == n_darts:
+            return False
+        st = turn[st ^ 2 ^ signs[st >> 2]]
+        steps += 1
+    return steps == n_darts
 
 
 def boundary_trace(s: Scheme) -> BoundaryTrace:
     """Orbits of the dart-side successor rule; see the module notes."""
     g = s.graph
     nd = g.n_darts
-    rot_next, rot_prev = _rotation_tables(s)
-
-    def successor(state):
-        h, side = state >> 1, state & 1
-        k = h ^ 1
-        side2 = side ^ s.signs[h >> 1]
-        h2 = rot_next[k] if side2 == 0 else rot_prev[k]
-        return 2 * h2 + side2
+    signs = s.signs
+    turn = _turn_table(nd, s.rotation)
 
     orbit_of = [-1] * (2 * nd)
     orbits = []
@@ -127,25 +148,21 @@ def boundary_trace(s: Scheme) -> BoundaryTrace:
         while orbit_of[st] < 0:
             orbit_of[st] = idx
             cur.append(st)
-            st = successor(st)
+            st = turn[st ^ 2 ^ signs[st >> 2]]
         assert st == start, "successor must be a permutation"
         orbits.append(tuple(cur))
 
     # mirror pairing: R(h, side) = (partner(h), side xor sign xor 1)
     pairing = []
     for idx, orbit in enumerate(orbits):
-        images = set()
-        for st in orbit:
-            h, side = st >> 1, st & 1
-            r = 2 * (h ^ 1) + (side ^ s.signs[h >> 1] ^ 1)
-            images.add(orbit_of[r])
+        images = {orbit_of[st ^ 3 ^ signs[st >> 2]] for st in orbit}
         assert len(images) == 1, "reversal must map orbits to orbits"
         pairing.append(images.pop())
     for idx, j in enumerate(pairing):
         assert j != idx and pairing[j] == idx, \
             "reversal pairing must be a perfect matching"
 
-    isolated = sum(1 for v in range(g.n_vertices) if not g.darts_at(v))
+    isolated = g.degrees().count(0)
     b = len(orbits) // 2 + isolated
     return BoundaryTrace(tuple(orbits), tuple(pairing), b)
 

@@ -1,9 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from clstruct import classify as cf
+from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
 from clstruct.errors import BudgetExceeded, TooLarge
@@ -188,3 +190,156 @@ def test_catalog_json_schema():
 def test_catalog_budget():
     with pytest.raises(BudgetExceeded):
         cf.catalog(3, budget=10)
+
+
+# --- the per-table search, kept as a test-only oracle ---
+#
+# Before the coset search, every sign table of a component was tried
+# against every rotation in turn, and each realizable member searched
+# the rotations again for its witness.  Both are kept here, with the
+# class key that tried every combination of component complements, to
+# check the coset search and the rotation-outer witness walk against.
+
+def _oracle_component_realizable(sub):
+    found = []
+    for signs in itertools.product((0, 1), repeat=sub.n_edges):
+        for rotation in cf._rotations(sub):
+            if sch.boundary_trace(sch.Scheme(sub, rotation, signs)).b == 1:
+                found.append(signs)
+                break
+    return found
+
+
+def oracle_realizable_signs(g):
+    decomp = mg.bridges_and_components(g)
+    per_component = []
+    for comp in decomp.components:
+        comp_edges = sorted(comp.edges)
+        sub = cf._component_graph(g, comp)
+        per_component.append((comp_edges,
+                              _oracle_component_realizable(sub)))
+    out = []
+    bridge_list = list(decomp.bridges)
+    for picks in itertools.product(*[r for (_es, r) in per_component]):
+        base = [0] * g.n_edges
+        for (comp_edges, _r), local in zip(per_component, picks):
+            for pos, e in enumerate(comp_edges):
+                base[e] = local[pos]
+        for bvals in itertools.product((0, 1), repeat=len(bridge_list)):
+            lam = list(base)
+            for e, x in zip(bridge_list, bvals):
+                lam[e] = x
+            out.append(tuple(lam))
+    return tuple(sorted(out))
+
+
+def oracle_witness_rotation(g, signs):
+    for rotation in cf._rotations(g):
+        if sch.boundary_trace(sch.Scheme(g, rotation, signs)).b == 1:
+            return rotation
+    raise AssertionError(f"no strip rotation for realizable signs {signs}")
+
+
+def oracle_equivalence_classes(g):
+    realizable = oracle_realizable_signs(g)
+    decomp = mg.bridges_and_components(g)
+    comp_edge_lists = [sorted(c.edges) for c in decomp.components]
+    eperms = sorted({ep for (_vp, ep) in mg.automorphisms(g)})
+
+    def class_key(lam):
+        best = None
+        for ep in eperms:
+            base = [lam[ep[e]] for e in range(g.n_edges)]
+            for flips in itertools.product((0, 1),
+                                           repeat=len(comp_edge_lists)):
+                cur = list(base)
+                for ci, flip in enumerate(flips):
+                    if flip:
+                        for e in comp_edge_lists[ci]:
+                            cur[e] ^= 1
+                for e in decomp.bridges:
+                    cur[e] = 0
+                key = tuple(cur)
+                if best is None or key < best:
+                    best = key
+        return best
+
+    grouped = {}
+    for lam in realizable:
+        grouped.setdefault(class_key(lam), []).append(lam)
+    classes = []
+    for members in grouped.values():
+        witnesses = tuple(oracle_witness_rotation(g, lam) for lam in members)
+        rep = sch.Scheme(g, witnesses[0], members[0])
+        classes.append(cf.StructureClass(g, members[0], tuple(members),
+                                         witnesses, sch.surface_type(rep)))
+    classes.sort(key=lambda c: c.representative)
+    return tuple(classes)
+
+
+@pytest.fixture(scope="module")
+def rank4_graphs():
+    return cf.generate_cubic_graphs(4)
+
+
+def test_coset_search_matches_per_table_oracle(rank4_graphs):
+    graphs = [g for q in (2, 3) for g in cf.generate_cubic_graphs(q)]
+    graphs += random.Random(4).sample(rank4_graphs, 3)
+    graphs += [wedge(2), wedge(3), mg.build(1, [])]
+    # cyclic parts with loops, bridges and vertices of degree > 3; the
+    # point graph they often reduce to is already in the list
+    rng = random.Random(11)
+    drawn = 0
+    while drawn < 100:
+        g = mg.cyclic_part(cli.random_multigraph(rng, 5, 5)).graph
+        if g.n_edges and cf.scheme_count(g) <= 20_000:
+            graphs.append(g)
+            drawn += 1
+    for g in graphs:
+        assert cf.realizable_signs(g) == oracle_realizable_signs(g), g
+        # every StructureClass field: representative, members,
+        # witnesses and surface
+        assert cf.equivalence_classes(g) == oracle_equivalence_classes(g), g
+
+
+def test_coset_search_is_the_same_with_threads():
+    for g in cf.generate_cubic_graphs(3):
+        base = cf.realizable_signs(g)
+        for threads in (2, 3, 8):
+            assert cf.realizable_signs(g, threads=threads) == base
+
+
+def _cut_toggles(g):
+    return [tuple(int((a == v) != (b == v)) for (a, b) in g.edges)
+            for v in range(g.n_vertices)]
+
+
+def test_realizable_sets_are_unions_of_flip_cosets(rank4_graphs):
+    total = 0
+    for q in (2, 3, 4):
+        graphs = rank4_graphs if q == 4 else cf.generate_cubic_graphs(q)
+        for g in graphs:
+            realizable = set(cf.realizable_signs(g))
+            for cut in _cut_toggles(g):
+                assert {tuple(x ^ c for x, c in zip(lam, cut))
+                        for lam in realizable} == realizable
+            tree, _free = mg._spanning_tree(g)
+            cosets = sum(1 for lam in realizable
+                         if not any(lam[e] for e in tree))
+            assert len(realizable) == cosets << (g.n_vertices - 1)
+            total += cosets
+    assert total == 151
+
+
+def test_single_orbit_kernel_agrees_with_the_tracer():
+    for q in (2, 3):
+        for g in cf.generate_cubic_graphs(q):
+            for rotation in cf._rotations(g):
+                turn = sch._turn_table(g.n_darts, rotation)
+                for signs in itertools.product((0, 1), repeat=g.n_edges):
+                    s = sch.Scheme(g, rotation, signs)
+                    assert sch._single_orbit_strip(turn, signs) == \
+                        (sch.boundary_trace(s).b == 1)
+    point = sch.make_scheme(mg.build(1, []), [()], [])
+    assert sch.boundary_trace(point).b == 1
+    assert sch._single_orbit_strip(sch._turn_table(0, point.rotation), ())

@@ -1,0 +1,73 @@
+"""Property tests over random schemes, drawn by hypothesis.
+
+Every test runs a fixed number of derandomized examples with no example
+database, so a run is deterministic and leaves no files behind.
+"""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clstruct import multigraph as mg
+from clstruct import scheme as sch
+
+FIXED = settings(max_examples=150, derandomize=True, database=None,
+                 deadline=None)
+
+
+@st.composite
+def graphs(draw, max_vertices=5, max_extra=5):
+    """Connected multigraphs: a random spanning tree plus extra edges,
+    which may be loops or parallel edges."""
+    n = draw(st.integers(1, max_vertices))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=max_extra))
+    return mg.build(n, draw(st.permutations(edges)))
+
+
+@st.composite
+def schemes(draw, cyclic=False):
+    g = draw(graphs())
+    if cyclic:
+        g = mg.cyclic_part(g).graph
+    rotation = [draw(st.permutations(g.darts_at(v)))
+                for v in range(g.n_vertices)]
+    signs = draw(st.lists(st.integers(0, 1), min_size=g.n_edges,
+                          max_size=g.n_edges))
+    return sch.make_scheme(g, rotation, signs)
+
+
+@FIXED
+@given(schemes())
+def test_tracer_matches_oracle(s):
+    assert sch.boundary_trace(s).b == sch.oracle_boundary_count(s)
+
+
+@FIXED
+@given(schemes(cyclic=True))
+def test_single_orbit_kernel_matches_tracer(s):
+    turn = sch._turn_table(s.graph.n_darts, s.rotation)
+    assert sch._single_orbit_strip(turn, s.signs) == \
+        (sch.boundary_trace(s).b == 1)
+
+
+@FIXED
+@given(schemes(), st.data())
+def test_vertex_flip_keeps_boundary_and_orientability(s, data):
+    v = data.draw(st.integers(0, s.graph.n_vertices - 1))
+    f = sch.vertex_flip(s, v)
+    assert sch.boundary_trace(f).b == sch.boundary_trace(s).b
+    assert sch.is_orientable(f) == sch.is_orientable(s)
+    assert sch.vertex_flip(f, v) == s
+
+
+NAMES = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.",
+    min_size=1, max_size=12)
+
+
+@FIXED
+@given(NAMES, schemes())
+def test_parse_format_round_trip(name, s):
+    text = sch.format_scheme(name, s)
+    assert sch.parse_scheme(text) == (name, s)
+    assert sch.format_scheme(*sch.parse_scheme(text)) == text
