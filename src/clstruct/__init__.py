@@ -22,13 +22,12 @@ from .multigraph import (Component, Decomposition, Multigraph,
                          automorphisms, bridges_and_components, build,
                          canonical_form, cycle_rank, cyclic_part,
                          format_graph, fundamental_cycle_basis,
-                         is_cyclic_part, isomorphic, parse_graph,
-                         simple_cycles)
+                         is_cyclic_part, isomorphic, parse_graph)
 from .reduce import (ReductionStep, contract_unswitched, expand_vertex,
                      high_degree_count, reduce_to_cubic)
 from .scheme import (BoundaryTrace, Scheme, SurfaceType, boundary_trace,
-                     companion, component_subscheme, dart_name,
-                     format_scheme, is_orientable, is_strip, make_scheme,
+                     component_subscheme, dart_name, format_scheme,
+                     is_orientable, is_strip, make_scheme,
                      oracle_boundary_count, parse_scheme, surface_type,
                      switched_edges, vertex_flip)
 
@@ -38,11 +37,10 @@ __all__ = [
     "errors",
     "Multigraph", "Component", "Decomposition", "build", "cycle_rank",
     "bridges_and_components", "cyclic_part", "is_cyclic_part",
-    "simple_cycles",
     "fundamental_cycle_basis", "canonical_form", "isomorphic",
     "automorphisms", "parse_graph", "format_graph",
     "Scheme", "BoundaryTrace", "SurfaceType", "make_scheme",
-    "boundary_trace", "oracle_boundary_count", "is_strip", "companion",
+    "boundary_trace", "oracle_boundary_count", "is_strip",
     "switched_edges", "vertex_flip", "is_orientable", "surface_type",
     "component_subscheme", "parse_scheme", "format_scheme", "dart_name",
     "Catalog", "StructureClass", "generate_cubic_graphs", "scheme_count",

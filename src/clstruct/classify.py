@@ -43,6 +43,9 @@ from .scheme import Scheme
 #: Default cap on (rotations x signs) enumeration size.
 DEFAULT_BUDGET = 10_000_000
 
+#: Largest cycle rank generate_cubic_graphs and catalog accept.
+MAX_Q = 5
+
 
 def scheme_count(g: Multigraph) -> int:
     """Number of schemes on g: prod_v (deg(v)-1)! times 2^E."""
@@ -77,12 +80,13 @@ def enumerate_schemes(g: Multigraph, budget: int | None = DEFAULT_BUDGET):
             yield Scheme(g, rotation, signs)
 
 
-def generate_cubic_graphs(q: int, max_q: int = 5) -> tuple:
+def generate_cubic_graphs(q: int) -> tuple:
     """All connected cubic multigraphs with cycle rank q, up to
     isomorphism, in canonical order.  Cubic and connected force
-    V = 2(q-1) and E = 3(q-1), so q = 1 gives an empty result."""
-    if q > max_q:
-        raise TooLarge(f"q={q} exceeds the cap {max_q}")
+    V = 2(q-1) and E = 3(q-1), so q = 1 gives an empty result.
+    Capped at MAX_Q."""
+    if q > MAX_Q:
+        raise TooLarge(f"q={q} exceeds the cap {MAX_Q}")
     n = 2 * (q - 1)
     if n <= 0:
         return ()
@@ -153,7 +157,7 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     per_component = []
     for comp in decomp.components:
         comp_edges = sorted(comp.edges)
-        sub = _component_graph(g, comp)
+        sub = mg._restrict(g, comp.vertices, comp.edges)[0]
         realizable = _component_realizable(sub, threads, budget)
         per_component.append((comp_edges, realizable))
 
@@ -171,13 +175,6 @@ def realizable_signs(g: Multigraph, threads: int = 1,
                 lam[e] = x
             out.append(tuple(lam))
     return tuple(sorted(out))
-
-
-def _component_graph(g: Multigraph, comp: mg.Component) -> Multigraph:
-    vmap = {v: i for i, v in enumerate(sorted(comp.vertices))}
-    edges = [(vmap[g.edges[e][0]], vmap[g.edges[e][1]])
-             for e in sorted(comp.edges)]
-    return mg.build(len(vmap), edges)
 
 
 def _component_realizable(sub: Multigraph, threads: int,
@@ -240,19 +237,6 @@ def _strip_witnesses(g: Multigraph, tables) -> dict:
                 still.append(signs)
         pending = still
     return witnesses
-
-
-def realizable_signs_exhaustive(g: Multigraph,
-                                budget: int | None = DEFAULT_BUDGET):
-    """Whole-graph realizable search, no decomposition; cross-check
-    route for realizable_signs."""
-    if not mg.is_cyclic_part(g):
-        raise NotCyclicPart("realizable_signs needs the cyclic part")
-    found = set()
-    for s in enumerate_schemes(g, budget):
-        if s.signs not in found and sch.boundary_trace(s).b == 1:
-            found.add(s.signs)
-    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -351,9 +335,9 @@ class Catalog:
     total: int
 
 
-def catalog(q: int, threads: int = 1, max_q: int = 5,
+def catalog(q: int, threads: int = 1,
             budget: int | None = DEFAULT_BUDGET) -> Catalog:
-    graphs = generate_cubic_graphs(q, max_q=max_q)
+    graphs = generate_cubic_graphs(q)
     per_graph = tuple(tuple(equivalence_classes(g, threads=threads,
                                                 budget=budget))
                       for g in graphs)
@@ -388,16 +372,25 @@ def catalog_to_json(cat: Catalog) -> str:
             "canonical_edges": [list(e) for e in g.edges],
             "classes": entries,
         })
-    doc = {"q": cat.q, "totals": cat.total, "graphs": graphs}
+    return _json({"q": cat.q, "totals": cat.total, "graphs": graphs})
+
+
+def _json(doc) -> str:
+    """The JSON layout of every document: sorted keys, two-space
+    indent, a final newline."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _graph_line(i: int, g: Multigraph) -> str:
+    edges = " ".join(f"({u},{v})" for (u, v) in g.edges)
+    return f"graph {i}: V={g.n_vertices} edges {edges}"
 
 
 def catalog_to_text(cat: Catalog) -> str:
     lines = [f"q = {cat.q}: {len(cat.graphs)} cubic graphs, "
              f"{cat.total} structure classes"]
     for gi, (g, classes) in enumerate(zip(cat.graphs, cat.classes)):
-        edges = " ".join(f"({u},{v})" for (u, v) in g.edges)
-        lines.append(f"graph {gi}: V={g.n_vertices} edges {edges}")
+        lines.append(_graph_line(gi, g))
         for ci, c in enumerate(classes):
             members = " ".join(_signs_str(m) for m in c.members)
             lines.append(

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage error, 2 malformed or invalid input,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -139,10 +138,6 @@ def _read(path: str) -> str:
                                f"at byte {exc.start}") from None
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 # --- verb handlers ---
 
 def _cmd_graphs(args) -> int:
@@ -152,7 +147,7 @@ def _cmd_graphs(args) -> int:
                "graphs": [{"n_vertices": g.n_vertices,
                            "edges": [list(e) for e in g.edges]}
                           for g in graphs]}
-        print(_dump(doc), end="")
+        print(classify._json(doc), end="")
         return 0
     if not graphs:
         print(f"no cubic multigraphs with q = {args.q} "
@@ -160,8 +155,7 @@ def _cmd_graphs(args) -> int:
         return 0
     print(f"{len(graphs)} cubic multigraphs with q = {args.q}")
     for i, g in enumerate(graphs):
-        edges = " ".join(f"({u},{v})" for (u, v) in g.edges)
-        print(f"graph {i}: V={g.n_vertices} edges {edges}")
+        print(classify._graph_line(i, g))
     return 0
 
 
@@ -208,7 +202,7 @@ def _cmd_trace(args) -> int:
     name, s = sch.parse_scheme(_read(args.input))
     doc = _trace_doc(name, s)
     if args.format == "json":
-        print(_dump(doc), end="")
+        print(classify._json(doc), end="")
         return 0
     switched = " ".join(str(e) for e in doc["switched_edges"]) or "none"
     strip = {True: "yes", False: "no",
@@ -247,7 +241,7 @@ def _cmd_reduce(args) -> int:
     if args.format == "json":
         doc = {"steps": [_step_doc(st) for st in steps],
                "scheme": _scheme_doc(f"{name}-cubic", result)}
-        print(_dump(doc), end="")
+        print(classify._json(doc), end="")
         return 0
     for i, st in enumerate(steps):
         print(f"# step {i}: expand vertex {st.vertex} "
@@ -261,7 +255,7 @@ def _cmd_expand(args) -> int:
     result = rd.expand_vertex(s, args.vertex, tree_shape=args.shape)
     if args.format == "json":
         doc = {"scheme": _scheme_doc(f"{name}-expanded", result)}
-        print(_dump(doc), end="")
+        print(classify._json(doc), end="")
         return 0
     print(f"# expanded vertex {args.vertex} ({args.shape})")
     print(sch.format_scheme(f"{name}-expanded", result), end="")
@@ -301,7 +295,7 @@ def _cmd_render(args) -> int:
                           for v, (x, y) in pos.items()},
                "edges": [{"id": e, "u": u, "v": v, "mark": _edge_mark(s, e)}
                          for e, (u, v) in enumerate(g.edges)]}
-        print(_dump(doc), end="")
+        print(classify._json(doc), end="")
         return 0
     if args.format == "dot":
         quoted = name.replace("\\", "\\\\").replace('"', '\\"')

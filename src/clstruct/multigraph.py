@@ -8,8 +8,8 @@ and therefore contributes 2 to the degree.
 Everything here targets small instances.  Canonical forms and
 automorphism groups come from one exact labeling search, pruned by
 prefix bounds, that finds the lexicographically least relabeled edge
-list and every relabeling reaching it; it keeps a ten-vertex cap by
-default.  Nothing else here is meant to scale.
+list and every relabeling reaching it; it keeps a ten-vertex cap
+(``MAX_VERTICES``).  Nothing else here is meant to scale.
 """
 from __future__ import annotations
 
@@ -18,6 +18,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import Disconnected, EndpointOutOfRange, ParseError, TooLarge
+
+#: Vertex cap of canonical_form and automorphisms.
+MAX_VERTICES = 10
 
 
 @dataclass(frozen=True)
@@ -34,17 +37,6 @@ class Multigraph:
     @property
     def n_darts(self) -> int:
         return 2 * len(self.edges)
-
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
-    def is_loop(self, e: int) -> bool:
-        u, v = self.edges[e]
-        return u == v
-
-    def dart_vertex(self, h: int) -> int:
-        """The vertex holding dart h (dart 2e sits at u, dart 2e+1 at v)."""
-        return self.edges[h >> 1][h & 1]
 
     def degree(self, v: int) -> int:
         return sum((u == v) + (w == v) for (u, w) in self.edges)
@@ -66,14 +58,6 @@ class Multigraph:
                 out.append(2 * e + 1)
         return tuple(out)
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbour, edge id); loops appear twice."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for e, (u, w) in enumerate(self.edges):
-            adj[u].append((w, e))
-            adj[w].append((u, e))
-        return adj
-
 
 def build(n_vertices: int, edges) -> Multigraph:
     """Validated constructor: endpoints in range, graph connected."""
@@ -90,19 +74,44 @@ def build(n_vertices: int, edges) -> Multigraph:
     return g
 
 
-def _connected(g: Multigraph) -> bool:
-    if g.n_vertices == 1:
+class _UnionFind:
+    """Union-find over 0..n-1 with path halving."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; False when they were one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
         return True
-    adj = g.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for (y, _e) in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == g.n_vertices
+
+
+def _connected(g: Multigraph, skip: int = -1) -> bool:
+    """True when g, less edge ``skip``, is connected."""
+    dsu = _UnionFind(g.n_vertices)
+    joins = sum(dsu.union(u, v) for e, (u, v) in enumerate(g.edges)
+                if e != skip)
+    return joins == g.n_vertices - 1
+
+
+def _restrict(g: Multigraph, vertices, edges):
+    """The subgraph on the given vertices and edges, both reindexed
+    densely in increasing old-id order; returns (graph, vertex_map,
+    edge_map), the maps sending old ids to new ones."""
+    vmap = {v: i for i, v in enumerate(sorted(vertices))}
+    emap = {e: i for i, e in enumerate(sorted(edges))}
+    sub = build(len(vmap), [(vmap[g.edges[e][0]], vmap[g.edges[e][1]])
+                            for e in emap])
+    return sub, vmap, emap
 
 
 def cycle_rank(g: Multigraph) -> int:
@@ -132,43 +141,19 @@ def bridges_and_components(g: Multigraph) -> Decomposition:
     A bridge is an edge whose removal disconnects the graph; loops are
     never bridges.  Each 2-connected component is reported as its edge
     set together with the vertices those edges touch.  Quadratic
-    remove-and-test bridge detection: fine at this scale.
+    remove-and-test bridge detection, fine at this scale; only spanning
+    tree edges are tested, since every other edge lies on a cycle.
     """
-    adj = g.adjacency()
-
-    def still_connected_without(skip: int) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for (y, e) in adj[x]:
-                if e != skip and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == g.n_vertices
-
-    bridges = tuple(e for e, (u, v) in enumerate(g.edges)
-                    if u != v and not still_connected_without(e))
+    bridges = tuple(e for e in _spanning_tree(g)[0] if not _connected(g, e))
     bridge_set = set(bridges)
+    kept = [e for e in range(g.n_edges) if e not in bridge_set]
 
-    # vertex classes of G minus bridges
-    comp_of = {}
-    for start in range(g.n_vertices):
-        if start in comp_of:
-            continue
-        comp_of[start] = start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for (y, e) in adj[x]:
-                if e not in bridge_set and y not in comp_of:
-                    comp_of[y] = start
-                    stack.append(y)
-
+    dsu = _UnionFind(g.n_vertices)
+    for e in kept:
+        dsu.union(*g.edges[e])
     grouped = defaultdict(set)
-    for e, (u, v) in enumerate(g.edges):
-        if e not in bridge_set:
-            grouped[comp_of[u]].add(e)
+    for e in kept:
+        grouped[dsu.find(g.edges[e][0])].add(e)
     components = []
     for root in sorted(grouped, key=lambda r: min(grouped[r])):
         es = frozenset(grouped[root])
@@ -218,13 +203,7 @@ def cyclic_part(g: Multigraph) -> CyclicPart:
     else:
         keep = min(alive_v) if alive_v else 0
         alive_v = {keep}
-    vmap = {v: i for i, v in enumerate(sorted(alive_v))}
-    emap = {e: i for i, e in enumerate(sorted(alive_e))}
-    new_edges = [None] * len(emap)
-    for e, i in emap.items():
-        u, v = g.edges[e]
-        new_edges[i] = (vmap[u], vmap[v])
-    return CyclicPart(build(len(vmap), new_edges), vmap, emap)
+    return CyclicPart(*_restrict(g, alive_v, alive_e))
 
 
 def is_cyclic_part(g: Multigraph) -> bool:
@@ -232,68 +211,14 @@ def is_cyclic_part(g: Multigraph) -> bool:
     return g.n_vertices == 1 or all(d >= 2 for d in g.degrees())
 
 
-def simple_cycles(g: Multigraph, max_edges: int = 12) -> tuple:
-    """Edge sets of all simple cycles.
-
-    A loop is a length-1 cycle and a pair of parallel edges a length-2
-    cycle.  Enumerates edge subsets (connected, every touched vertex of
-    degree exactly 2), so the edge count is capped.
-    """
-    E = g.n_edges
-    if E > max_edges:
-        raise TooLarge(f"{E} edges exceeds the simple_cycles cap {max_edges}")
-    out = []
-    for mask in range(1, 1 << E):
-        chosen = [e for e in range(E) if (mask >> e) & 1]
-        deg = defaultdict(int)
-        for e in chosen:
-            u, v = g.edges[e]
-            deg[u] += 1
-            deg[v] += 1
-        if any(d != 2 for d in deg.values()):
-            continue
-        # connectivity over the chosen subgraph
-        verts = set(deg)
-        adj = defaultdict(list)
-        for e in chosen:
-            u, v = g.edges[e]
-            adj[u].append(v)
-            adj[v].append(u)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen == verts:
-            out.append(frozenset(chosen))
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(out)
-
-
 def _spanning_tree(g: Multigraph):
     """Tree edges taken greedily by lowest id (loops never join), and
     the remaining edges; both lists ascend."""
-    parent = list(range(g.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    dsu = _UnionFind(g.n_vertices)
     tree = []
     extra = []
     for e, (u, v) in enumerate(g.edges):
-        ru, rv = find(u), find(v)
-        if u != v and ru != rv:
-            parent[ru] = rv
-            tree.append(e)
-        else:
-            extra.append(e)
+        (tree if dsu.union(u, v) else extra).append(e)
     return tree, extra
 
 
@@ -425,31 +350,31 @@ def _least_labelings(g: Multigraph):
     return tuple(divmod(c, n) for c in best), minimizers
 
 
-def canonical_form(g: Multigraph, max_vertices: int = 10):
+def canonical_form(g: Multigraph):
     """Canonical label: (V, lexicographically least relabeled edge list).
 
     Equal exactly for isomorphic graphs.  The least list is taken over
     the relabelings that number the vertices in ascending degree order;
     a pruned search (``_least_labelings``) finds it without trying them
-    all.  Capped by max_vertices.
+    all.  Capped at MAX_VERTICES.
     """
-    if g.n_vertices > max_vertices:
+    if g.n_vertices > MAX_VERTICES:
         raise TooLarge(
             f"{g.n_vertices} vertices exceeds the canonical_form cap "
-            f"{max_vertices}")
+            f"{MAX_VERTICES}")
     return (g.n_vertices, _least_labelings(g)[0])
 
 
-def isomorphic(g: Multigraph, h: Multigraph, max_vertices: int = 10) -> bool:
+def isomorphic(g: Multigraph, h: Multigraph) -> bool:
     """Graph isomorphism for small instances via canonical forms."""
     if g.n_vertices != h.n_vertices or g.n_edges != h.n_edges:
         return False
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    return canonical_form(g, max_vertices) == canonical_form(h, max_vertices)
+    return canonical_form(g) == canonical_form(h)
 
 
-def automorphisms(g: Multigraph, max_vertices: int = 10):
+def automorphisms(g: Multigraph):
     """All automorphisms as (vertex permutation, edge permutation) pairs.
 
     The vertex permutations are ``phi0^-1 . phi`` over the relabelings
@@ -457,12 +382,13 @@ def automorphisms(g: Multigraph, max_vertices: int = 10):
     in ascending order, so the identity comes first.  Each is paired
     with every edge bijection that respects it: parallel edges may be
     permuted freely within their endpoint class.  The result always
-    contains the identity pair and is closed under composition.
+    contains the identity pair and is closed under composition.  Capped
+    at MAX_VERTICES.
     """
-    if g.n_vertices > max_vertices:
+    if g.n_vertices > MAX_VERTICES:
         raise TooLarge(
             f"{g.n_vertices} vertices exceeds the automorphisms cap "
-            f"{max_vertices}")
+            f"{MAX_VERTICES}")
     _form, minimizers = _least_labelings(g)
     inverse = [0] * g.n_vertices
     for v, label in enumerate(minimizers[0]):

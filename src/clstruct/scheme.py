@@ -175,22 +175,6 @@ def is_strip(s: Scheme) -> bool:
     return boundary_trace(s).b == 1
 
 
-class _DSU:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def oracle_boundary_count(s: Scheme) -> int:
     """Independent boundary count via explicit polygon gluing.
 
@@ -247,7 +231,7 @@ def oracle_boundary_count(s: Scheme) -> int:
             gluings.append((p2, a1))
             gluings.append((p3, b1))
 
-    dsu = _DSU(len(point_id))
+    dsu = mg._UnionFind(len(point_id))
     for (a, b) in gluings:
         dsu.union(a, b)
 
@@ -276,11 +260,6 @@ def oracle_boundary_count(s: Scheme) -> int:
                         seen.add(k)
                         stack.append(k)
     return circles + isolated
-
-
-def companion(s: Scheme) -> tuple:
-    """The per-edge switch parities (identical to the stored signs)."""
-    return s.signs
 
 
 def switched_edges(s: Scheme):
@@ -364,21 +343,12 @@ def component_subscheme(s: Scheme, component: mg.Component) -> Scheme:
     order; each rotation keeps only the darts of surviving edges, in
     the same cyclic order.
     """
-    g = s.graph
-    vmap = {v: i for i, v in enumerate(sorted(component.vertices))}
-    emap = {e: i for i, e in enumerate(sorted(component.edges))}
-    edges = [None] * len(emap)
-    for e, i in emap.items():
-        u, v = g.edges[e]
-        edges[i] = (vmap[u], vmap[v])
-    sub = mg.build(len(vmap), edges)
-    rotation = []
-    for v in sorted(component.vertices):
-        cyc = [2 * emap[h >> 1] + (h & 1)
-               for h in s.rotation[v] if (h >> 1) in emap]
-        rotation.append(cyc)
-    signs = [s.signs[e] for e in sorted(component.edges)]
-    return make_scheme(sub, rotation, signs)
+    sub, vmap, emap = mg._restrict(s.graph, component.vertices,
+                                   component.edges)
+    rotation = [[2 * emap[h >> 1] + (h & 1)
+                 for h in s.rotation[v] if (h >> 1) in emap]
+                for v in vmap]
+    return make_scheme(sub, rotation, [s.signs[e] for e in emap])
 
 
 # --- text format ---

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from clstruct import cli
+from clstruct import multigraph as mg
 
 THETA = """\
 graph theta
@@ -189,6 +190,15 @@ def test_bad_input_exits_2(tmp_path, capsys):
 def test_caps_and_budgets_exit_3(capsys):
     assert cli.main(["graphs", "--q", "7"]) == 3
     assert cli.main(["structures", "--q", "3", "--budget", "10"]) == 3
+
+
+def test_structures_over_the_vertex_cap_exit_3(tmp_path, capsys):
+    p = tmp_path / "cycle11.txt"
+    p.write_text(mg.format_graph(
+        "cycle11", mg.build(11, [(v, (v + 1) % 11) for v in range(11)])))
+    assert cli.main(["structures", "--input", str(p)]) == 3
+    assert capsys.readouterr().err == (
+        "clstruct: error: 11 vertices exceeds the automorphisms cap 10\n")
 
 
 def test_verify_default_passes(capsys):

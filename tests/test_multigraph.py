@@ -27,10 +27,7 @@ def test_build_basics():
     assert g.n_edges == 3
     assert g.n_darts == 6
     assert g.degrees() == (3, 3)
-    assert g.is_loop(0) and not g.is_loop(1)
-    assert g.endpoints(1) == (0, 1)
     # dart h belongs to edge h//2, at the h%2 end
-    assert g.dart_vertex(2) == 0 and g.dart_vertex(3) == 1
     assert g.darts_at(0) == (0, 1, 2)
     assert g.darts_at(1) == (3, 4, 5)
 
@@ -114,24 +111,33 @@ def test_cyclic_part_idempotent():
     assert mg.is_cyclic_part(mg.build(1, []))
 
 
-def test_simple_cycles_counts():
-    assert len(mg.simple_cycles(theta())) == 3
-    assert len(mg.simple_cycles(dumbbell())) == 2
-    assert len(mg.simple_cycles(k4())) == 7
-    loop = mg.build(1, [(0, 0)])
-    assert mg.simple_cycles(loop) == (frozenset({0}),)
+def test_bridges_components_and_tree_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for _ in range(300):
+        g = cli.random_multigraph(rng)  # loops and parallel edges
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(g.n_vertices))
+        h.add_edges_from(g.edges)
+        d = mg.bridges_and_components(g)
+        assert sorted(tuple(sorted(g.edges[e])) for e in d.bridges) == \
+            sorted(tuple(sorted(b)) for b in nx.bridges(h)), g
+        h.remove_edges_from([g.edges[e] for e in d.bridges])
+        expected = set()
+        for vs in nx.connected_components(h):
+            es = frozenset(e for e, (u, _v) in enumerate(g.edges)
+                           if u in vs and e not in d.bridges)
+            if es:
+                expected.add((es, frozenset(vs)))
+        assert {(c.edges, c.vertices) for c in d.components} == expected, g
 
-
-def test_simple_cycles_skip_bridges():
-    for cyc in mg.simple_cycles(dumbbell()):
-        assert 1 not in cyc
-
-
-def test_simple_cycles_cap():
-    g = mg.build(2, [(0, 1)] * 13)
-    with pytest.raises(TooLarge):
-        mg.simple_cycles(g)
-    mg.simple_cycles(g, max_edges=13)  # raised cap is honoured
+        tree, extra = mg._spanning_tree(g)
+        assert len(tree) == g.n_vertices - 1
+        assert sorted(tree + extra) == list(range(g.n_edges))
+        t = nx.Graph()
+        t.add_nodes_from(range(g.n_vertices))
+        t.add_edges_from(g.edges[e] for e in tree)
+        assert nx.is_tree(t), g
 
 
 def test_fundamental_cycle_basis():
@@ -168,6 +174,16 @@ def test_isomorphism():
     relabeled = mg.build(2, [(1, 1), (0, 1), (0, 0)])
     assert mg.canonical_form(dumbbell()) == mg.canonical_form(relabeled)
     assert mg.canonical_form(theta()) != mg.canonical_form(dumbbell())
+
+
+def test_labeling_cap_is_ten_vertices():
+    cycle = mg.build(11, [(v, (v + 1) % 11) for v in range(11)])
+    with pytest.raises(TooLarge, match="canonical_form cap 10"):
+        mg.canonical_form(cycle)
+    with pytest.raises(TooLarge, match="automorphisms cap 10"):
+        mg.automorphisms(cycle)
+    ten = mg.build(10, [(v, (v + 1) % 10) for v in range(10)])
+    assert len(mg.automorphisms(ten)) == 20
 
 
 # --- brute-force oracle for the labeling search ---

@@ -119,7 +119,7 @@ def test_is_strip_requires_cyclic_part():
 
 def test_companion_and_switched_edges():
     s = theta_scheme([1, 0, 1])
-    assert sch.companion(s) == (1, 0, 1)
+    assert s.signs == (1, 0, 1)  # the companion: per-edge switch parities
     assert sch.switched_edges(s) == frozenset({0, 2})
 
 
