@@ -1,5 +1,8 @@
 """Exhaustive search: cubic graphs, realizable signs, structure classes.
 
+The cubic graphs of rank q come from those of rank q-1 by edge
+insertion (``generate_cubic_graphs``), deduplicated by canonical form.
+
 The searchable objects are schemes (rotation system + signs).  A sign
 table is *realizable* on a graph when some rotation turns it into a
 strip (one boundary circle).  Realizable sign tables are then grouped
@@ -84,58 +87,54 @@ def generate_cubic_graphs(q: int) -> tuple:
     """All connected cubic multigraphs with cycle rank q, up to
     isomorphism, in canonical order.  Cubic and connected force
     V = 2(q-1) and E = 3(q-1), so q = 1 gives an empty result.
-    Capped at MAX_Q."""
+    Capped at MAX_Q.
+
+    Built by edge insertion from rank 2 up, as in McKay's isomorph-free
+    generation but without its orbit pruning.  Rank 2 holds the dumbbell
+    and the theta graph.  Each child of a rank-(q-1) graph H adds two
+    vertices by one of two moves: subdivide two edges of H (possibly the
+    same edge twice) and join the two new vertices, or subdivide one
+    edge of H and hang a new vertex carrying a loop on it.  The children
+    are deduplicated by ``canonical_form``.
+
+    Every graph G of rank q >= 3 is a child of some graph of rank q-1.
+    If G has a loop, remove its vertex with the loop and suppress the
+    neighbour, which then has degree 2.  Otherwise G has a non-bridge
+    edge, since a cubic graph is not a tree: delete it and suppress
+    both ends.  Either way the result is connected and cubic of rank
+    q-1, and the matching move rebuilds G from it.
+    """
     if q > MAX_Q:
         raise TooLarge(f"q={q} exceeds the cap {MAX_Q}")
-    n = 2 * (q - 1)
-    if n <= 0:
+    if q < 2:
         return ()
-    seen = set()
-    for edges in _labeled_cubic(n):
-        g = Multigraph(n, edges)
-        if not mg._connected(g):
-            continue
-        seen.add(mg.canonical_form(g))
+    dumbbell = Multigraph(2, ((0, 0), (0, 1), (1, 1)))
+    theta = Multigraph(2, ((0, 1),) * 3)
+    seen = {mg.canonical_form(dumbbell), mg.canonical_form(theta)}
+    for _rank in range(3, q + 1):
+        parents, seen = seen, set()
+        for n, edges in parents:
+            for child in _edge_insertions(n, edges):
+                seen.add(mg.canonical_form(Multigraph(n + 2, child)))
     return tuple(mg.build(vcount, list(es))
                  for (vcount, es) in sorted(seen))
 
 
-def _labeled_cubic(n: int):
-    """All labeled 3-regular multigraphs on n vertices (backtracking)."""
-    residual = [3] * n
-    edges = []
-    results = []
-
-    def fill(v):
-        if v == n:
-            results.append(tuple(edges))
-            return
-        for loops in range(residual[v] // 2, -1, -1):
-            residual[v] -= 2 * loops
-            edges.extend([(v, v)] * loops)
-            spread(v, v + 1)
-            residual[v] += 2 * loops
-            del edges[len(edges) - loops:]
-
-    def spread(v, w):
-        """Distribute residual[v] over cross edges to vertices >= w."""
-        if residual[v] == 0:
-            fill(v + 1)
-            return
-        if w == n:
-            return
-        top = min(residual[v], residual[w])
-        for k in range(top, -1, -1):
-            residual[v] -= k
-            residual[w] -= k
-            edges.extend([(v, w)] * k)
-            spread(v, w + 1)
-            residual[v] += k
-            residual[w] += k
-            del edges[len(edges) - k:]
-
-    fill(0)
-    return results
+def _edge_insertions(n: int, edges: tuple):
+    """Edge lists of every child of the cubic graph (n, edges) under the
+    two insertion moves; the new vertices are a = n and b = n + 1."""
+    a, b = n, n + 1
+    for i, (u, v) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1:]
+        # a on edge i, b hung from a with a loop
+        yield rest + ((u, a), (a, v), (a, b), (b, b))
+        # a and b both on edge i, joined by a second edge
+        yield rest + ((u, a), (a, b), (b, v), (a, b))
+        # a on edge i, b on a later edge, joined
+        for j in range(i, len(rest)):
+            x, y = rest[j]
+            yield rest[:j] + rest[j + 1:] + ((u, a), (a, v), (x, b),
+                                             (b, y), (a, b))
 
 
 def realizable_signs(g: Multigraph, threads: int = 1,

@@ -384,11 +384,14 @@ def random_scheme(rng, g=None, max_vertices=8, max_extra=6):
 
 # --- invariant suites ---
 
-def _all_schemes(qs=(2, 3)):
+def _all_graphs(qs=(2, 3)):
     for q in qs:
-        for g in classify.generate_cubic_graphs(q):
-            for s in classify.enumerate_schemes(g):
-                yield q, s
+        yield from classify.generate_cubic_graphs(q)
+
+
+def _all_schemes(qs=(2, 3)):
+    for g in _all_graphs(qs):
+        yield from classify.enumerate_schemes(g)
 
 
 def suite_closed_forms():
@@ -415,14 +418,14 @@ def suite_closed_forms():
 
 
 def suite_tracer_vs_oracle():
-    for _q, s in _all_schemes():
+    for s in _all_schemes():
         if sch.boundary_trace(s).b != sch.oracle_boundary_count(s):
             return f"tracer/oracle mismatch on {s.graph.edges} {s.signs}"
     return None
 
 
 def suite_flip_invariance():
-    for _q, s in _all_schemes():
+    for s in _all_schemes():
         b = sch.boundary_trace(s).b
         orient = sch.is_orientable(s)
         for v in range(s.graph.n_vertices):
@@ -435,36 +438,39 @@ def suite_flip_invariance():
 
 
 def suite_strip_decomposition():
-    for _q, s in _all_schemes():
-        decomp = mg.bridges_and_components(s.graph)
-        subs = [sch.component_subscheme(s, comp)
-                for comp in decomp.components]
-        bs = [sch.boundary_trace(t).b for t in subs]
-        b = sch.boundary_trace(s).b
-        if b != 1 + sum(x - 1 for x in bs):
-            return (f"boundary count {b} disagrees with component counts "
-                    f"{bs} on {s.graph.edges} {s.signs}")
-        if (b == 1) != all(x == 1 for x in bs):
-            return "strip iff all component subschemes are strips failed"
+    for g in _all_graphs():
+        decomp = mg.bridges_and_components(g)
+        for s in classify.enumerate_schemes(g):
+            subs = [sch.component_subscheme(s, comp)
+                    for comp in decomp.components]
+            bs = [sch.boundary_trace(t).b for t in subs]
+            b = sch.boundary_trace(s).b
+            if b != 1 + sum(x - 1 for x in bs):
+                return (f"boundary count {b} disagrees with component "
+                        f"counts {bs} on {g.edges} {s.signs}")
+            if (b == 1) != all(x == 1 for x in bs):
+                return "strip iff all component subschemes are strips failed"
     return None
 
 
 def suite_cycle_components_switched():
-    for _q, s in _all_schemes():
-        if sch.boundary_trace(s).b != 1:
-            continue
-        decomp = mg.bridges_and_components(s.graph)
-        for comp in decomp.components:
-            if len(comp.edges) != len(comp.vertices):
-                continue  # not a simple-cycle component
-            if sum(s.signs[e] for e in comp.edges) % 2 == 0:
-                return (f"cycle component {sorted(comp.edges)} of a strip "
-                        f"has even sign sum on {s.graph.edges} {s.signs}")
+    for g in _all_graphs():
+        decomp = mg.bridges_and_components(g)
+        for s in classify.enumerate_schemes(g):
+            if sch.boundary_trace(s).b != 1:
+                continue
+            for comp in decomp.components:
+                if len(comp.edges) != len(comp.vertices):
+                    continue  # not a simple-cycle component
+                if sum(s.signs[e] for e in comp.edges) % 2 == 0:
+                    return (f"cycle component {sorted(comp.edges)} of a "
+                            f"strip has even sign sum on {g.edges} "
+                            f"{s.signs}")
     return None
 
 
 def suite_odd_rank_non_orientable():
-    for _q, s in _all_schemes(qs=(3,)):
+    for s in _all_schemes(qs=(3,)):
         if sch.boundary_trace(s).b == 1 and sch.is_orientable(s):
             return f"orientable strip with odd rank: {s.graph.edges} {s.signs}"
     return None

@@ -160,6 +160,21 @@ def test_catalog_rank3():
             assert c.surface.crosscaps == 3
 
 
+def test_catalog_rank5():
+    # about 5 s: the whole rank-5 catalog, each representative checked
+    # with its witness rotation by the polygon-gluing oracle
+    cat = cf.catalog(5)
+    assert len(cat.graphs) == 71
+    assert cat.total == 8187
+    assert sum(len(c.members) for cs in cat.classes for c in cs) == 116608
+    for g, classes in zip(cat.graphs, cat.classes):
+        for c in classes:
+            s = sch.Scheme(g, c.witnesses[0], c.representative)
+            assert sch.oracle_boundary_count(s) == 1, (g, c.representative)
+            assert not c.surface.orientable
+            assert c.surface.crosscaps == 5
+
+
 def test_catalog_classes_share_surface_type():
     for q in (2, 3):
         for g, classes in zip(cf.catalog(q).graphs, cf.catalog(q).classes):

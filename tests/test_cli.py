@@ -67,6 +67,14 @@ def test_graphs_json(capsys):
     assert len(doc["graphs"]) == 5
 
 
+def test_graphs_rank_5(capsys):
+    assert cli.main(["graphs", "--q", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "71 cubic multigraphs with q = 5"
+    assert [line.split(":")[0] for line in lines[1:]] == \
+        [f"graph {i}" for i in range(71)]
+
+
 def test_structures_by_rank(capsys):
     assert cli.main(["structures", "--q", "2", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -256,9 +256,47 @@ def _assert_matches_oracle(g):
     assert sorted(auts) == sorted(oracle_automorphisms(g)), g
 
 
+def _labeled_cubic(n: int):
+    """All labeled 3-regular multigraphs on n vertices (backtracking)."""
+    residual = [3] * n
+    edges = []
+    results = []
+
+    def fill(v):
+        if v == n:
+            results.append(tuple(edges))
+            return
+        for loops in range(residual[v] // 2, -1, -1):
+            residual[v] -= 2 * loops
+            edges.extend([(v, v)] * loops)
+            spread(v, v + 1)
+            residual[v] += 2 * loops
+            del edges[len(edges) - loops:]
+
+    def spread(v, w):
+        """Distribute residual[v] over cross edges to vertices >= w."""
+        if residual[v] == 0:
+            fill(v + 1)
+            return
+        if w == n:
+            return
+        top = min(residual[v], residual[w])
+        for k in range(top, -1, -1):
+            residual[v] -= k
+            residual[w] -= k
+            edges.extend([(v, w)] * k)
+            spread(v, w + 1)
+            residual[v] += k
+            residual[w] += k
+            del edges[len(edges) - k:]
+
+    fill(0)
+    return results
+
+
 def _connected_labeled_cubic(n):
     out = []
-    for edges in classify._labeled_cubic(n):
+    for edges in _labeled_cubic(n):
         g = mg.Multigraph(n, edges)
         if mg._connected(g):
             out.append(g)
@@ -306,6 +344,86 @@ def test_cubic_census_against_networkx():
     graphs = [to_nx(g) for g in census[4]]
     for a, b in itertools.combinations(graphs, 2):
         assert not nx.is_isomorphic(a, b)
+
+
+# --- the edge-insertion generator against the labeled oracle ---
+
+@pytest.fixture(scope="module")
+def census():
+    return {q: classify.generate_cubic_graphs(q) for q in (2, 3, 4, 5)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_edge_insertion_matches_labeled_oracle(q, census):
+    forms = {mg.canonical_form(g)
+             for g in _connected_labeled_cubic(2 * (q - 1))}
+    assert census[q] == tuple(mg.build(n, es) for (n, es) in sorted(forms))
+
+
+def test_census_counts_through_rank_5(census):
+    # OEIS A005967: connected cubic multigraphs with loops on 2(q-1) nodes
+    assert {q: len(gs) for q, gs in census.items()} == \
+        {2: 2, 3: 5, 4: 17, 5: 71}
+
+
+def test_rank_5_graphs_are_cubic_and_connected(census):
+    for g in census[5]:
+        assert g.degrees() == (3,) * 8, g
+        assert mg._connected(g), g
+        assert mg.cycle_rank(g) == 5, g
+
+
+def test_rank_5_graphs_pairwise_non_isomorphic_by_networkx(census):
+    nx = pytest.importorskip("networkx")
+    graphs = []
+    for g in census[5]:
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(g.n_vertices))
+        h.add_edges_from(g.edges)
+        graphs.append(h)
+    for a, b in itertools.combinations(graphs, 2):
+        assert not nx.is_isomorphic(a, b)
+
+
+def _without_vertex(n, edges, x):
+    """Delete x and its edges; the vertices above x move down by one."""
+    return n - 1, [(u - (u > x), v - (v > x)) for (u, v) in edges
+                   if x not in (u, v)]
+
+
+def _suppress(n, edges, x):
+    """Replace the degree-2 vertex x and its two edges by one edge."""
+    ends = [w for (u, v) in edges for (a, w) in ((u, v), (v, u)) if a == x]
+    assert len(ends) == 2 and x not in ends
+    return _without_vertex(n, edges + [tuple(ends)], x)
+
+
+def _inverse_steps(g):
+    """Every graph one inverse insertion step takes g to: remove a
+    vertex carrying a loop and suppress its neighbour, or delete a
+    non-bridge edge and suppress both of its ends."""
+    bridges = set(mg.bridges_and_components(g).bridges)
+    n, edges = g.n_vertices, list(g.edges)
+    for e, (u, v) in enumerate(edges):
+        if u == v:
+            (y,) = [w for (a, b) in edges if (a == u) != (b == u)
+                    for w in (a, b) if w != u]
+            yield _suppress(*_without_vertex(n, edges, u), y - (y > u))
+        elif e not in bridges:
+            rest = edges[:e] + edges[e + 1:]
+            yield _suppress(*_suppress(n, rest, max(u, v)), min(u, v))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_every_graph_has_a_parent_one_rank_down(q, census):
+    below = {mg.canonical_form(h) for h in census[q - 1]}
+    for g in census[q]:
+        steps = list(_inverse_steps(g))
+        assert steps, g
+        for n, edges in steps:
+            h = mg.build(n, edges)
+            assert h.degrees() == (3,) * n, g
+            assert mg.canonical_form(h) in below, g
 
 
 def test_parse_and_format_round_trip():
