@@ -389,6 +389,41 @@ def _all_graphs(qs=(2, 3)):
         yield from classify.generate_cubic_graphs(q)
 
 
+def _boundary_table(tables, g):
+    """Exact boundary counts of every scheme on g, traced once.
+
+    One ``bytearray`` per anchored rotation, indexed by the sign table
+    packed into an int with edge 0 in the top bit (the order in which
+    ``classify.enumerate_schemes`` lists the tables), holding
+    ``sch.boundary_trace(s).b``.  Built on first use and kept in the
+    dict ``tables``, keyed by graph, so that the suites of one run
+    share it.  A vertex flip or component subscheme of an enumerated
+    scheme is again an enumerated scheme (rotations stay anchored), so
+    its count is a lookup too.
+    """
+    rows = tables.get(g)
+    if rows is None:
+        rows = tables[g] = {}
+        for s in classify.enumerate_schemes(g):
+            row = rows.get(s.rotation)
+            if row is None:
+                row = rows[s.rotation] = bytearray()
+            row.append(sch.boundary_trace(s).b)
+    return rows
+
+
+def _packed(signs) -> int:
+    x = 0
+    for bit in signs:
+        x = 2 * x + bit
+    return x
+
+
+def _traced_b(tables, s) -> int:
+    """The boundary count of s, read from the table of its graph."""
+    return _boundary_table(tables, s.graph)[s.rotation][_packed(s.signs)]
+
+
 def _all_schemes(qs=(2, 3)):
     for g in _all_graphs(qs):
         yield from classify.enumerate_schemes(g)
@@ -417,34 +452,37 @@ def suite_closed_forms():
     return None
 
 
-def suite_tracer_vs_oracle():
+def suite_tracer_vs_oracle(tables=None):
+    tables = {} if tables is None else tables
     for s in _all_schemes():
-        if sch.boundary_trace(s).b != sch.oracle_boundary_count(s):
+        if _traced_b(tables, s) != sch.oracle_boundary_count(s):
             return f"tracer/oracle mismatch on {s.graph.edges} {s.signs}"
     return None
 
 
-def suite_flip_invariance():
+def suite_flip_invariance(tables=None):
+    tables = {} if tables is None else tables
     for s in _all_schemes():
-        b = sch.boundary_trace(s).b
+        b = _traced_b(tables, s)
         orient = sch.is_orientable(s)
         for v in range(s.graph.n_vertices):
             f = sch.vertex_flip(s, v)
-            if sch.boundary_trace(f).b != b:
+            if _traced_b(tables, f) != b:
                 return f"flip at {v} changed b on {s.graph.edges} {s.signs}"
             if sch.is_orientable(f) != orient:
                 return f"flip at {v} changed orientability"
     return None
 
 
-def suite_strip_decomposition():
+def suite_strip_decomposition(tables=None):
+    tables = {} if tables is None else tables
     for g in _all_graphs():
         decomp = mg.bridges_and_components(g)
         for s in classify.enumerate_schemes(g):
             subs = [sch.component_subscheme(s, comp)
                     for comp in decomp.components]
-            bs = [sch.boundary_trace(t).b for t in subs]
-            b = sch.boundary_trace(s).b
+            bs = [_traced_b(tables, t) for t in subs]
+            b = _traced_b(tables, s)
             if b != 1 + sum(x - 1 for x in bs):
                 return (f"boundary count {b} disagrees with component "
                         f"counts {bs} on {g.edges} {s.signs}")
@@ -453,11 +491,12 @@ def suite_strip_decomposition():
     return None
 
 
-def suite_cycle_components_switched():
+def suite_cycle_components_switched(tables=None):
+    tables = {} if tables is None else tables
     for g in _all_graphs():
         decomp = mg.bridges_and_components(g)
         for s in classify.enumerate_schemes(g):
-            if sch.boundary_trace(s).b != 1:
+            if _traced_b(tables, s) != 1:
                 continue
             for comp in decomp.components:
                 if len(comp.edges) != len(comp.vertices):
@@ -469,9 +508,10 @@ def suite_cycle_components_switched():
     return None
 
 
-def suite_odd_rank_non_orientable():
+def suite_odd_rank_non_orientable(tables=None):
+    tables = {} if tables is None else tables
     for s in _all_schemes(qs=(3,)):
-        if sch.boundary_trace(s).b == 1 and sch.is_orientable(s):
+        if _traced_b(tables, s) == 1 and sch.is_orientable(s):
             return f"orientable strip with odd rank: {s.graph.edges} {s.signs}"
     return None
 
@@ -513,12 +553,14 @@ def suite_round_trips(seed=0, cases=100):
     return None
 
 
-def wedge_classes_reached(q):
+def wedge_classes_reached(q, tables=None):
     """Wedge classes reachable by contracting cubic strips of rank q.
 
     Walks every contraction order (memoized) from every cubic strip
     down to single-vertex schemes; returns (reached, total classes).
+    The strips are read from ``tables`` (see ``_boundary_table``).
     """
+    tables = {} if tables is None else tables
     wedge = mg.build(1, [(0, 0)] * q)
     classes = classify.equivalence_classes(wedge)
     index_of = {}
@@ -540,16 +582,16 @@ def wedge_classes_reached(q):
             if u != v and s.signs[e] == 0:
                 walk(rd.contract_unswitched(s, e))
 
-    for g in classify.generate_cubic_graphs(q):
-        for s in classify.enumerate_schemes(g):
-            if sch.boundary_trace(s).b == 1:
-                walk(s)
+    for s in _all_schemes(qs=(q,)):
+        if _traced_b(tables, s) == 1:
+            walk(s)
     return reached, len(classes)
 
 
-def suite_wedge_reachability():
+def suite_wedge_reachability(tables=None):
+    tables = {} if tables is None else tables
     for q in (2, 3):
-        reached, total = wedge_classes_reached(q)
+        reached, total = wedge_classes_reached(q, tables)
         if reached != set(range(total)):
             return (f"q={q}: contractions reach {sorted(reached)} "
                     f"of {total} wedge classes")
@@ -581,18 +623,27 @@ def suite_rank4_spot_checks(seed=0, cases=200):
 
 
 def run_verify(level="default", seed=0, out=print) -> int:
-    """Run the invariant suites; returns a process exit code (0 or 4)."""
+    """Run the invariant suites; returns a process exit code (0 or 4).
+
+    The suites that walk every scheme share one boundary table per
+    graph, so each scheme is traced once per run; the oracle still
+    counts every scheme on its own.
+    """
+    tables = {}
     suites = [
         ("closed-form boundary cases", suite_closed_forms),
-        ("tracer vs oracle, exhaustive q=2,3", suite_tracer_vs_oracle),
-        ("vertex flip invariance", suite_flip_invariance),
-        ("strip decomposition over components", suite_strip_decomposition),
+        ("tracer vs oracle, exhaustive q=2,3",
+         lambda: suite_tracer_vs_oracle(tables)),
+        ("vertex flip invariance", lambda: suite_flip_invariance(tables)),
+        ("strip decomposition over components",
+         lambda: suite_strip_decomposition(tables)),
         ("switched edge in every cycle component",
-         suite_cycle_components_switched),
+         lambda: suite_cycle_components_switched(tables)),
         ("odd rank forces non-orientable strips",
-         suite_odd_rank_non_orientable),
+         lambda: suite_odd_rank_non_orientable(tables)),
         ("expansion round trips", lambda: suite_round_trips(seed)),
-        ("wedge reachability by contraction", suite_wedge_reachability),
+        ("wedge reachability by contraction",
+         lambda: suite_wedge_reachability(tables)),
     ]
     if level == "extended":
         suites += [

@@ -47,18 +47,42 @@ def _anchor(cycle):
     return cycle[i:] + cycle[:i]
 
 
-def make_scheme(g: Multigraph, rotation, signs) -> Scheme:
-    """Validated constructor; normalizes every rotation to its anchor."""
-    rotation = tuple(tuple(c) for c in rotation)
+def _lists_every_dart_once(g: Multigraph, rotation) -> bool:
+    """One pass over the darts: each is an int in range, listed once,
+    at the vertex its edge end names, and all 2E of them appear."""
     if len(rotation) != g.n_vertices:
-        raise BadRotation(
-            f"rotation lists {len(rotation)} vertices, graph has "
-            f"{g.n_vertices}")
-    for v in range(g.n_vertices):
-        if tuple(sorted(rotation[v])) != g.darts_at(v):
+        return False
+    edges = g.edges
+    n_darts = 2 * len(edges)
+    seen = bytearray(n_darts)
+    listed = 0
+    for v, cyc in enumerate(rotation):
+        for h in cyc:
+            if (type(h) is not int or not 0 <= h < n_darts or seen[h]
+                    or edges[h >> 1][h & 1] != v):
+                return False
+            seen[h] = 1
+        listed += len(cyc)
+    return listed == n_darts
+
+
+def make_scheme(g: Multigraph, rotation, signs) -> Scheme:
+    """Validated constructor; normalizes every rotation to its anchor.
+
+    A one-pass check accepts the common case.  A rotation it rejects is
+    compared vertex by vertex with ``darts_at``, which has the last
+    word and names the first bad vertex when it raises."""
+    rotation = tuple(tuple(c) for c in rotation)
+    if not _lists_every_dart_once(g, rotation):
+        if len(rotation) != g.n_vertices:
             raise BadRotation(
-                f"rotation at vertex {v} must list darts "
-                f"{g.darts_at(v)} exactly once, got {rotation[v]}")
+                f"rotation lists {len(rotation)} vertices, graph has "
+                f"{g.n_vertices}")
+        for v in range(g.n_vertices):
+            if tuple(sorted(rotation[v])) != g.darts_at(v):
+                raise BadRotation(
+                    f"rotation at vertex {v} must list darts "
+                    f"{g.darts_at(v)} exactly once, got {rotation[v]}")
     try:
         signs = tuple(int(x) for x in signs)
     except (TypeError, ValueError):
@@ -274,12 +298,13 @@ def vertex_flip(s: Scheme, v: int) -> Scheme:
     if not (0 <= v < s.graph.n_vertices):
         raise BadRotation(f"no vertex {v}")
     rotation = list(s.rotation)
-    rotation[v] = tuple(reversed(rotation[v]))
+    rotation[v] = _anchor(reversed(rotation[v]))
     signs = list(s.signs)
     for e, (a, b) in enumerate(s.graph.edges):
         if (a == v) != (b == v):
             signs[e] ^= 1
-    return make_scheme(s.graph, rotation, signs)
+    # valid by construction: the same darts per vertex, signs still 0/1
+    return Scheme(s.graph, tuple(rotation), tuple(signs))
 
 
 @dataclass(frozen=True)
@@ -315,11 +340,43 @@ class SurfaceType:
 
 
 def is_orientable(s: Scheme) -> bool:
-    """A patch is orientable iff every fundamental cycle has even sign
-    sum (equivalently, the signs are vertex-flip-equivalent to all 0)."""
-    for cyc in mg.fundamental_cycle_basis(s.graph):
-        if sum(s.signs[e] for e in cyc) % 2:
-            return False
+    """A patch is orientable iff its signs are vertex-flip-equivalent
+    to all 0 (equivalently, every cycle has even sign sum).
+
+    Orientability is a property of the switching class, so one pass
+    decides it: flipping a set F of vertices toggles exactly the
+    non-loop edges with one end in F, so the signs are equivalent to
+    all 0 iff every loop has sign 0 and the vertices can be given sides
+    with sign(e) = side(u) xor side(v) on every non-loop edge.  A
+    search 2-colours each connected piece from its smallest vertex and
+    fails on the first edge that contradicts the sides already given;
+    O(V + E).
+    """
+    g = s.graph
+    signs = s.signs
+    adj = [[] for _ in range(g.n_vertices)]
+    for e, (a, b) in enumerate(g.edges):
+        if a == b:
+            if signs[e]:
+                return False
+        else:
+            adj[a].append((b, signs[e]))
+            adj[b].append((a, signs[e]))
+    side = [-1] * g.n_vertices
+    for root in range(g.n_vertices):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w, x in adj[u]:
+                want = side[u] ^ x
+                if side[w] < 0:
+                    side[w] = want
+                    stack.append(w)
+                elif side[w] != want:
+                    return False
     return True
 
 

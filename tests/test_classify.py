@@ -367,3 +367,33 @@ def test_single_orbit_kernel_agrees_with_the_tracer():
     point = sch.make_scheme(mg.build(1, []), [()], [])
     assert sch.boundary_trace(point).b == 1
     assert sch._single_orbit_strip(sch._turn_table(0, point.rotation), ())
+
+
+def test_every_class_caps_to_euler_characteristic_two_minus_q(rank4_graphs):
+    # a strip has one boundary circle, so euler_closed = V - E + 1 = 2 - q
+    for q in (2, 3, 4):
+        for classes in cf.catalog(q).classes:
+            for c in classes:
+                assert c.surface.euler_closed == 2 - q
+                assert c.surface.boundary == 1
+
+
+def test_component_coset_closed_forms(rank4_graphs):
+    ranks = set()
+    for q in (2, 3, 4):
+        graphs = rank4_graphs if q == 4 else cf.generate_cubic_graphs(q)
+        for g in graphs:
+            for comp in mg.bridges_and_components(g).components:
+                sub = mg._restrict(g, comp.vertices, comp.edges)[0]
+                c = mg.cycle_rank(sub)
+                ranks.add(c)
+                realizable = cf.realizable_signs(sub)
+                tree, _free = mg._spanning_tree(sub)
+                cosets = sum(1 for lam in realizable
+                             if not any(lam[e] for e in tree))
+                if c == 1:
+                    # a cycle is a strip only with an odd sign sum
+                    assert cosets == 1, sub
+                if c % 2:
+                    assert (0,) * sub.n_edges not in realizable, sub
+    assert {1, 2, 3, 4} <= ranks

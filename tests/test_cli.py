@@ -6,6 +6,7 @@ import pytest
 
 from clstruct import cli
 from clstruct import multigraph as mg
+from clstruct import scheme as sch
 
 THETA = """\
 graph theta
@@ -229,6 +230,46 @@ def test_verify_failure_exits_4(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL closed-form boundary cases: simulated defect" in out
     assert "7/8 suites passed" in out
+
+
+# Planted defects: the suites share exact boundary tables, and each must
+# still notice a wrong tracer, flip or component restriction on its own.
+
+def _plant(monkeypatch, name, wrong):
+    """Replace sch.<name> by a version that passes the real result
+    through ``wrong``."""
+    real = getattr(sch, name)
+    monkeypatch.setattr(sch, name, lambda *a: wrong(real(*a), *a))
+
+
+@pytest.mark.parametrize("suite", ["suite_tracer_vs_oracle",
+                                   "suite_flip_invariance",
+                                   "suite_strip_decomposition"])
+def test_table_suites_catch_a_wrong_tracer(monkeypatch, suite):
+    def one_more_on_odd_sign_sums(t, s):
+        if sum(s.signs) % 2:
+            return sch.BoundaryTrace(t.orbits, t.pairing, t.b + 1)
+        return t
+    _plant(monkeypatch, "boundary_trace", one_more_on_odd_sign_sums)
+    assert getattr(cli, suite)() is not None
+
+
+def test_flip_suite_catches_a_wrong_flip(monkeypatch):
+    def toggle_edge_0_too(f, s, v):
+        return sch.Scheme(f.graph, f.rotation, (1 - f.signs[0],) + f.signs[1:])
+    _plant(monkeypatch, "vertex_flip", toggle_edge_0_too)
+    assert cli.suite_flip_invariance() is not None
+
+
+def test_decomposition_suite_catches_a_wrong_restriction(monkeypatch):
+    def drop_first_switched(t, s, comp):
+        if 1 not in t.signs:
+            return t
+        signs = list(t.signs)
+        signs[signs.index(1)] = 0
+        return sch.Scheme(t.graph, t.rotation, tuple(signs))
+    _plant(monkeypatch, "component_subscheme", drop_first_switched)
+    assert cli.suite_strip_decomposition() is not None
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clstruct import multigraph as mg
+from clstruct import reduce as rd
 from clstruct import scheme as sch
 
 FIXED = settings(max_examples=150, derandomize=True, database=None,
@@ -71,3 +72,22 @@ def test_parse_format_round_trip(name, s):
     text = sch.format_scheme(name, s)
     assert sch.parse_scheme(text) == (name, s)
     assert sch.format_scheme(*sch.parse_scheme(text)) == text
+
+
+@FIXED
+@given(schemes())
+def test_internal_constructors_build_valid_schemes(s):
+    # vertex_flip builds its Scheme without make_scheme; the others
+    # validate, and all four must give what make_scheme would
+    g = s.graph
+    made = [sch.vertex_flip(s, v) for v in range(g.n_vertices)]
+    made += [sch.component_subscheme(s, comp)
+             for comp in mg.bridges_and_components(g).components]
+    made += [rd.contract_unswitched(s, e)
+             for e, (u, v) in enumerate(g.edges)
+             if u != v and s.signs[e] == 0]
+    made += [rd.expand_vertex(s, v, shape)
+             for v in range(g.n_vertices) if g.degree(v) > 3
+             for shape in ("comb", "balanced")]
+    for r in made:
+        assert sch.make_scheme(r.graph, r.rotation, r.signs) == r

@@ -1,7 +1,10 @@
 import itertools
+import random
 
 import pytest
 
+from clstruct import classify as cf
+from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
 from clstruct.errors import BadRotation, MissingSign, NotCyclicPart, ParseError
@@ -41,6 +44,79 @@ def test_make_scheme_validation():
         sch.make_scheme(g, [(0, 1)], [])
     with pytest.raises(MissingSign):
         sch.make_scheme(g, [(0, 1)], [2])
+
+
+THETA = mg.build(2, [(0, 1)] * 3)
+DUMBBELL = mg.build(2, [(0, 0), (0, 1), (1, 1)])
+
+# Messages of the per-vertex check, recorded before the one-pass check
+# was put in front of it; the one-pass check must not change them.
+BAD_ROTATIONS = [
+    ("missing dart", THETA, [(0, 2), (1, 3, 5)],
+     "rotation at vertex 0 must list darts (0, 2, 4) exactly once, "
+     "got (0, 2)"),
+    ("duplicated dart", THETA, [(0, 2, 2), (1, 3, 5)],
+     "rotation at vertex 0 must list darts (0, 2, 4) exactly once, "
+     "got (0, 2, 2)"),
+    ("dart listed at two vertices", THETA, [(0, 2, 4), (1, 3, 4)],
+     "rotation at vertex 1 must list darts (1, 3, 5) exactly once, "
+     "got (1, 3, 4)"),
+    ("dart at the wrong vertex", THETA, [(0, 2, 5), (1, 3, 4)],
+     "rotation at vertex 0 must list darts (0, 2, 4) exactly once, "
+     "got (0, 2, 5)"),
+    ("loop dart at the wrong vertex", DUMBBELL, [(0, 2, 4), (1, 3, 5)],
+     "rotation at vertex 0 must list darts (0, 1, 2) exactly once, "
+     "got (0, 2, 4)"),
+    ("short second vertex", DUMBBELL, [(0, 1, 2), (3, 5)],
+     "rotation at vertex 1 must list darts (3, 4, 5) exactly once, "
+     "got (3, 5)"),
+    ("wrong vertex count", THETA, [(0, 2, 4)],
+     "rotation lists 1 vertices, graph has 2"),
+    ("float dart", THETA, [(0.5, 2, 4), (1, 3, 5)],
+     "rotation at vertex 0 must list darts (0, 2, 4) exactly once, "
+     "got (0.5, 2, 4)"),
+    ("bool dart", THETA, [(True, 2, 4), (0, 3, 5)],
+     "rotation at vertex 0 must list darts (0, 2, 4) exactly once, "
+     "got (True, 2, 4)"),
+    ("dart out of range", THETA, [(0, 2, 6), (1, 3, 5)],
+     "rotation at vertex 0 must list darts (0, 2, 4) exactly once, "
+     "got (0, 2, 6)"),
+    ("negative dart", THETA, [(-1, 2, 4), (1, 3, 5)],
+     "rotation at vertex 0 must list darts (0, 2, 4) exactly once, "
+     "got (-1, 2, 4)"),
+]
+
+
+@pytest.mark.parametrize("case", BAD_ROTATIONS,
+                         ids=[c[0] for c in BAD_ROTATIONS])
+def test_bad_rotation_messages(case):
+    _name, g, rotation, message = case
+    with pytest.raises(BadRotation) as info:
+        sch.make_scheme(g, rotation, [0] * g.n_edges)
+    assert str(info.value) == message
+
+
+def test_one_pass_check_equals_per_vertex_check_on_int_darts():
+    rng = random.Random(5)
+    accepted = 0
+    for _ in range(3000):
+        g = cli.random_multigraph(rng, 4, 3)
+        nd = g.n_darts
+        if rng.random() < 0.5:
+            rotation = [rng.sample(g.darts_at(v), g.degree(v))
+                        for v in range(g.n_vertices)]
+            if nd and rng.random() < 0.5:  # one corrupted dart
+                cyc = rng.choice([c for c in rotation if c])
+                cyc[rng.randrange(len(cyc))] = rng.randrange(-1, nd + 1)
+        else:
+            rotation = [[rng.randrange(-1, nd + 1)
+                         for _ in range(rng.randint(0, 4))]
+                        for v in range(g.n_vertices)]
+        per_vertex = all(tuple(sorted(rotation[v])) == g.darts_at(v)
+                         for v in range(g.n_vertices))
+        assert sch._lists_every_dart_once(g, rotation) == per_vertex
+        accepted += per_vertex
+    assert 500 < accepted < 2500
 
 
 def test_rotation_is_anchored():
@@ -152,6 +228,28 @@ def test_orientability_from_cycle_signs():
     assert not sch.is_orientable(theta_scheme([1, 0, 0]))
     assert not sch.is_orientable(loop_scheme(1))
     assert sch.is_orientable(loop_scheme(0))
+
+
+def cycle_parity_orientable(s):
+    """The fundamental-cycle test: every basis cycle has even sign sum."""
+    return all(sum(s.signs[e] for e in cyc) % 2 == 0
+               for cyc in mg.fundamental_cycle_basis(s.graph))
+
+
+def test_orientability_matches_cycle_parity():
+    for q in (2, 3):
+        for g in cf.generate_cubic_graphs(q):
+            for s in cf.enumerate_schemes(g):
+                assert sch.is_orientable(s) == cycle_parity_orientable(s)
+    rng = random.Random(3)
+    loops = parallels = 0
+    for _ in range(300):
+        s = cli.random_scheme(rng)
+        assert sch.is_orientable(s) == cycle_parity_orientable(s), s
+        edges = s.graph.edges
+        loops += any(u == v for u, v in edges)
+        parallels += len(set(edges)) < len(edges)
+    assert loops > 50 and parallels > 50
 
 
 def test_surface_type_point():
