@@ -83,6 +83,15 @@ def enumerate_schemes(g: Multigraph, budget: int | None = DEFAULT_BUDGET):
             yield Scheme(g, rotation, signs)
 
 
+def _pack_signs(signs) -> int:
+    """A sign table as an int with edge 0 in the top bit, so that int
+    order is the order in which ``enumerate_schemes`` lists tables."""
+    x = 0
+    for bit in signs:
+        x = 2 * x + bit
+    return x
+
+
 def generate_cubic_graphs(q: int) -> tuple:
     """All connected cubic multigraphs with cycle rank q, up to
     isomorphism, in canonical order.  Cubic and connected force
@@ -209,9 +218,7 @@ def _component_realizable(sub: Multigraph, threads: int,
             if (a == v) != (b == v):
                 cut |= 1 << (E - 1 - e)
         span += [x ^ cut for x in span]
-    # packed with edge 0 in the top bit, int order is table order
-    tables = sorted(int("".join(map(str, rep)), 2) ^ x
-                    for rep in found for x in span)
+    tables = sorted(_pack_signs(rep) ^ x for rep in found for x in span)
     return [tuple(map(int, f"{x:0{E}b}")) for x in tables]
 
 

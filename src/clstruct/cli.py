@@ -393,8 +393,7 @@ def _boundary_table(tables, g):
     """Exact boundary counts of every scheme on g, traced once.
 
     One ``bytearray`` per anchored rotation, indexed by the sign table
-    packed into an int with edge 0 in the top bit (the order in which
-    ``classify.enumerate_schemes`` lists the tables), holding
+    packed by ``classify._pack_signs``, holding
     ``sch.boundary_trace(s).b``.  Built on first use and kept in the
     dict ``tables``, keyed by graph, so that the suites of one run
     share it.  A vertex flip or component subscheme of an enumerated
@@ -407,21 +406,18 @@ def _boundary_table(tables, g):
         for s in classify.enumerate_schemes(g):
             row = rows.get(s.rotation)
             if row is None:
-                row = rows[s.rotation] = bytearray()
-            row.append(sch.boundary_trace(s).b)
+                row = rows[s.rotation] = bytearray(1 << g.n_edges)
+            row[classify._pack_signs(s.signs)] = sch.boundary_trace(s).b
     return rows
 
 
-def _packed(signs) -> int:
-    x = 0
-    for bit in signs:
-        x = 2 * x + bit
-    return x
-
-
-def _traced_b(tables, s) -> int:
-    """The boundary count of s, read from the table of its graph."""
-    return _boundary_table(tables, s.graph)[s.rotation][_packed(s.signs)]
+def _traced_b(tables, s):
+    """The boundary count of s, read from the table of its graph; None
+    when s is not one of the schemes enumerated there."""
+    row = _boundary_table(tables, s.graph).get(s.rotation)
+    if row is None:
+        return None
+    return row[classify._pack_signs(s.signs)]
 
 
 def _all_schemes(qs=(2, 3)):
@@ -467,7 +463,11 @@ def suite_flip_invariance(tables=None):
         orient = sch.is_orientable(s)
         for v in range(s.graph.n_vertices):
             f = sch.vertex_flip(s, v)
-            if _traced_b(tables, f) != b:
+            fb = _traced_b(tables, f)
+            if fb is None:
+                return (f"flip at {v} is not an enumerated scheme on "
+                        f"{s.graph.edges} {s.signs}")
+            if fb != b:
                 return f"flip at {v} changed b on {s.graph.edges} {s.signs}"
             if sch.is_orientable(f) != orient:
                 return f"flip at {v} changed orientability"
@@ -482,6 +482,9 @@ def suite_strip_decomposition(tables=None):
             subs = [sch.component_subscheme(s, comp)
                     for comp in decomp.components]
             bs = [_traced_b(tables, t) for t in subs]
+            if None in bs:
+                return (f"component subscheme is not an enumerated "
+                        f"scheme on {g.edges} {s.signs}")
             b = _traced_b(tables, s)
             if b != 1 + sum(x - 1 for x in bs):
                 return (f"boundary count {b} disagrees with component "

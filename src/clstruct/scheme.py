@@ -47,42 +47,25 @@ def _anchor(cycle):
     return cycle[i:] + cycle[:i]
 
 
-def _lists_every_dart_once(g: Multigraph, rotation) -> bool:
-    """One pass over the darts: each is an int in range, listed once,
-    at the vertex its edge end names, and all 2E of them appear."""
-    if len(rotation) != g.n_vertices:
-        return False
-    edges = g.edges
-    n_darts = 2 * len(edges)
-    seen = bytearray(n_darts)
-    listed = 0
-    for v, cyc in enumerate(rotation):
-        for h in cyc:
-            if (type(h) is not int or not 0 <= h < n_darts or seen[h]
-                    or edges[h >> 1][h & 1] != v):
-                return False
-            seen[h] = 1
-        listed += len(cyc)
-    return listed == n_darts
-
-
 def make_scheme(g: Multigraph, rotation, signs) -> Scheme:
     """Validated constructor; normalizes every rotation to its anchor.
 
-    A one-pass check accepts the common case.  A rotation it rejects is
-    compared vertex by vertex with ``darts_at``, which has the last
-    word and names the first bad vertex when it raises."""
+    The darts of every vertex are gathered in one pass over the edges,
+    and each rotation must list exactly those of its vertex."""
     rotation = tuple(tuple(c) for c in rotation)
-    if not _lists_every_dart_once(g, rotation):
-        if len(rotation) != g.n_vertices:
+    if len(rotation) != g.n_vertices:
+        raise BadRotation(
+            f"rotation lists {len(rotation)} vertices, graph has "
+            f"{g.n_vertices}")
+    at = [[] for _ in range(g.n_vertices)]
+    for e, (u, w) in enumerate(g.edges):
+        at[u].append(2 * e)
+        at[w].append(2 * e + 1)
+    for v, cyc in enumerate(rotation):
+        if tuple(sorted(cyc)) != tuple(at[v]):
             raise BadRotation(
-                f"rotation lists {len(rotation)} vertices, graph has "
-                f"{g.n_vertices}")
-        for v in range(g.n_vertices):
-            if tuple(sorted(rotation[v])) != g.darts_at(v):
-                raise BadRotation(
-                    f"rotation at vertex {v} must list darts "
-                    f"{g.darts_at(v)} exactly once, got {rotation[v]}")
+                f"rotation at vertex {v} must list darts "
+                f"{tuple(at[v])} exactly once, got {cyc}")
     try:
         signs = tuple(int(x) for x in signs)
     except (TypeError, ValueError):
@@ -294,7 +277,11 @@ def switched_edges(s: Scheme):
 def vertex_flip(s: Scheme, v: int) -> Scheme:
     """Turn the disk of v over: reverse its rotation, toggle the signs
     of its non-loop edges.  A loop at v keeps its sign (both of its
-    band ends flip, which cancels)."""
+    band ends flip, which cancels).
+
+    ``s`` must be a valid scheme with anchored rotations, as
+    ``make_scheme`` returns; the result is then one too, and is built
+    without validating it again."""
     if not (0 <= v < s.graph.n_vertices):
         raise BadRotation(f"no vertex {v}")
     rotation = list(s.rotation)

@@ -261,6 +261,23 @@ def test_flip_suite_catches_a_wrong_flip(monkeypatch):
     assert cli.suite_flip_invariance() is not None
 
 
+def _unanchored(t, v):
+    rotation = list(t.rotation)
+    rotation[v] = rotation[v][1:] + rotation[v][:1]
+    return sch.Scheme(t.graph, tuple(rotation), t.signs)
+
+
+def test_flip_suite_fails_on_an_unanchored_flip(monkeypatch):
+    _plant(monkeypatch, "vertex_flip", lambda f, s, v: _unanchored(f, v))
+    assert "not an enumerated scheme" in cli.suite_flip_invariance()
+
+
+def test_decomposition_suite_fails_on_an_unanchored_restriction(monkeypatch):
+    _plant(monkeypatch, "component_subscheme",
+           lambda t, s, comp: _unanchored(t, 0))
+    assert "not an enumerated scheme" in cli.suite_strip_decomposition()
+
+
 def test_decomposition_suite_catches_a_wrong_restriction(monkeypatch):
     def drop_first_switched(t, s, comp):
         if 1 not in t.signs:
