@@ -384,6 +384,11 @@ def random_scheme(rng, g=None, max_vertices=8, max_extra=6):
 
 # --- invariant suites ---
 
+# seeded draws per run of the random suites
+ROUND_TRIP_CASES = 100
+RANDOM_ORACLE_CASES = 2000
+RANK4_CASES = 200
+
 def _all_graphs(qs=(2, 3)):
     for q in qs:
         yield from classify.generate_cubic_graphs(q)
@@ -529,7 +534,7 @@ def roundtrip_once(s, v, tree_shape="comb"):
     return result == s
 
 
-def suite_round_trips(seed=0, cases=100):
+def suite_round_trips(seed=0):
     for q in (2, 3):
         wedge = mg.build(1, [(0, 0)] * q)
         for s in classify.enumerate_schemes(wedge):
@@ -542,7 +547,7 @@ def suite_round_trips(seed=0, cases=100):
                     return f"expansion changed b ({shape}, {s.signs})"
     rng = random.Random(seed)
     done = 0
-    while done < cases:
+    while done < ROUND_TRIP_CASES:
         s = random_scheme(rng)
         highs = [v for v in range(s.graph.n_vertices)
                  if s.graph.degree(v) > 3]
@@ -572,22 +577,22 @@ def wedge_classes_reached(q, tables=None):
             index_of[m] = i
     reached = set()
     seen = set()
-
-    def walk(s):
-        key = (s.graph.n_vertices, s.graph.edges, s.rotation, s.signs)
-        if key in seen:
-            return
-        seen.add(key)
-        if s.graph.n_vertices == 1:
-            reached.add(index_of[s.signs])
-            return
-        for e, (u, v) in enumerate(s.graph.edges):
-            if u != v and s.signs[e] == 0:
-                walk(rd.contract_unswitched(s, e))
-
-    for s in _all_schemes(qs=(q,)):
-        if _traced_b(tables, s) == 1:
-            walk(s)
+    for strip in _all_schemes(qs=(q,)):
+        if _traced_b(tables, strip) != 1:
+            continue
+        stack = [strip]
+        while stack:
+            s = stack.pop()
+            key = (s.graph.n_vertices, s.graph.edges, s.rotation, s.signs)
+            if key in seen:
+                continue
+            seen.add(key)
+            if s.graph.n_vertices == 1:
+                reached.add(index_of[s.signs])
+                continue
+            for e, (u, v) in enumerate(s.graph.edges):
+                if u != v and s.signs[e] == 0:
+                    stack.append(rd.contract_unswitched(s, e))
     return reached, len(classes)
 
 
@@ -601,19 +606,19 @@ def suite_wedge_reachability(tables=None):
     return None
 
 
-def suite_random_tracer_vs_oracle(seed=0, cases=2000):
+def suite_random_tracer_vs_oracle(seed=0):
     rng = random.Random(seed)
-    for i in range(cases):
+    for i in range(RANDOM_ORACLE_CASES):
         s = random_scheme(rng)
         if sch.boundary_trace(s).b != sch.oracle_boundary_count(s):
             return f"mismatch on random case {i}"
     return None
 
 
-def suite_rank4_spot_checks(seed=0, cases=200):
+def suite_rank4_spot_checks(seed=0):
     rng = random.Random(seed)
     graphs = classify.generate_cubic_graphs(4)
-    for i in range(cases):
+    for i in range(RANK4_CASES):
         g = graphs[rng.randrange(len(graphs))]
         s = random_scheme(rng, g=g)
         if sch.boundary_trace(s).b != sch.oracle_boundary_count(s):

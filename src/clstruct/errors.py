@@ -18,7 +18,12 @@ class TooLarge(ClstructError):
 
 
 class BadRotation(ClstructError):
-    """A rotation does not list each dart of its vertex exactly once."""
+    """A rotation does not list each dart of its vertex exactly once;
+    carries that vertex, or None when no single vertex is at fault."""
+
+    def __init__(self, message, vertex=None):
+        super().__init__(message)
+        self.vertex = vertex
 
 
 class MissingSign(ClstructError):

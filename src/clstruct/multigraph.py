@@ -433,7 +433,8 @@ def parse_graph(text: str):
         edge <id> <u> <v>
 
     Vertex and edge ids must be dense (0..V-1 / 0..E-1), each declared
-    once; endpoints must reference declared vertices.
+    once; endpoints must reference declared vertices.  A disconnected
+    graph is reported at its graph line.
     """
     name = None
     vertices = {}
@@ -450,6 +451,7 @@ def parse_graph(text: str):
             if len(parts) != 2:
                 raise ParseError(lineno, "expected: graph <name>")
             name = parts[1]
+            graph_line = lineno
         elif kind == "vertex":
             if len(parts) != 2:
                 raise ParseError(lineno, "expected: vertex <id>")
@@ -484,7 +486,10 @@ def parse_graph(text: str):
         if u not in vertices or v not in vertices:
             raise ParseError(lineno, f"edge {eid} references unknown vertex")
         edges.append((u, v))
-    return name, build(len(vertices), edges)
+    try:
+        return name, build(len(vertices), edges)
+    except Disconnected as exc:
+        raise Disconnected(f"line {graph_line}: {exc}") from None
 
 
 def _int_token(lineno, token):

@@ -10,6 +10,7 @@ on a cubic graph with the same surface data.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import multigraph as mg
@@ -24,7 +25,9 @@ class ReductionStep:
 
     dart_map sends surviving old darts to their new ids (a bijection on
     darts not destroyed by the move); new_vertices / new_edges list ids
-    created by an expansion (its internal tree).
+    created by an expansion (its internal tree).  ``reduce_to_cubic``
+    records only "expand" steps: their ``edge`` is None and their
+    dart_map is the identity, since an expansion keeps every old dart.
     """
 
     kind: str  # "contract" or "expand"
@@ -43,12 +46,13 @@ def high_degree_count(g: mg.Multigraph) -> int:
 def contract_unswitched(s: Scheme, e: int) -> Scheme:
     """Contract a non-loop edge with sign 0.
 
-    The endpoints merge into the smaller surviving id (the other vertex
-    disappears, higher vertex and edge ids shift down by one).  The
-    merged rotation replaces dart e.0 inside the rotation of one
-    endpoint by the rotation of the other endpoint read from just after
-    dart e.1 around; this is exactly what flattening the band of e into
-    the two vertex disks does to the boundary order.
+    With e = (u, v), the merged vertex takes the place of u and v
+    disappears: vertex ids above v and edge ids above e shift down by
+    one, dart ids above those of e by two.  The merged rotation
+    replaces dart e.0 inside the rotation of u by the rotation of v
+    read from just after dart e.1 around; this is exactly what
+    flattening the band of e into the two vertex disks does to the
+    boundary order.
     """
     g = s.graph
     u, v = g.edges[e]
@@ -58,45 +62,41 @@ def contract_unswitched(s: Scheme, e: int) -> Scheme:
         raise SwitchedContraction(f"edge {e} is switched; flip a vertex first")
 
     h, k = 2 * e, 2 * e + 1
-    ru, rv = list(s.rotation[u]), list(s.rotation[v])
+    ru, rv = s.rotation[u], s.rotation[v]
     iu, iv = ru.index(h), rv.index(k)
-    spliced = ru[:iu] + rv[iv + 1:] + rv[:iv] + ru[iu + 1:]
+    rotation = list(s.rotation)
+    rotation[u] = ru[:iu] + rv[iv + 1:] + rv[:iv] + ru[iu + 1:]
+    del rotation[v]
 
-    def new_vertex(x):
-        x = u if x == v else x
+    def vertex(x):
+        """New id of old vertex x: v becomes u, ids above v drop by one."""
+        if x == v:
+            x = u
         return x - 1 if x > v else x
 
-    dart_map = {}
-    new_edges = []
-    for i, (a, b) in enumerate(g.edges):
-        if i == e:
-            continue
-        ni = len(new_edges)
-        dart_map[2 * i] = 2 * ni
-        dart_map[2 * i + 1] = 2 * ni + 1
-        new_edges.append((new_vertex(a), new_vertex(b)))
-
-    rotation = []
-    for x in range(g.n_vertices):
-        if x == v:
-            continue
-        cyc = spliced if x == u else s.rotation[x]
-        rotation.append(tuple(dart_map[t] for t in cyc))
-    signs = tuple(x for i, x in enumerate(s.signs) if i != e)
-    return make_scheme(mg.build(g.n_vertices - 1, new_edges),
-                       rotation, signs)
+    rotation = [[t - 2 if t > h else t for t in cyc] for cyc in rotation]
+    edges = [(vertex(a), vertex(b)) for a, b in g.edges[:e] + g.edges[e + 1:]]
+    signs = s.signs[:e] + s.signs[e + 1:]
+    return make_scheme(mg.build(g.n_vertices - 1, edges), rotation, signs)
 
 
 def expand_vertex(s: Scheme, v: int, tree_shape: str = "comb") -> Scheme:
     """Replace a vertex of degree d > 3 by a cubic tree.
 
     The d darts at v attach to the tree leaves in their original cyclic
-    order; the d - 3 internal edges are unswitched.  The first internal
-    vertex reuses the id of v, the others are appended after the
-    existing vertices; internal edges are appended after the existing
-    edges, so every old dart keeps its id.  tree_shape picks the tree:
-    "comb" (a caterpillar spine, the default) or "balanced" (recursive
-    halving); the choice never affects class-level results.
+    order; the d - 3 tree edges are unswitched.  A root edge joins
+    the tree over the first k darts to the tree over the rest.  Each
+    tree vertex holds the dart that hangs it from its parent and splits
+    its own darts in two parts; a one-dart part stays at the vertex, a
+    longer part hangs below it on a new edge.  tree_shape picks the
+    split: "comb" (the default) takes k = 2 and then one dart at a time,
+    a caterpillar; "balanced" takes k = (d + 1) // 2 and then the first
+    half rounded up.  The choice never affects class-level results.
+
+    The first tree vertex reuses the id of v.  The other tree vertices
+    are appended after the existing vertices, and the tree edges (the
+    root edge first) after the existing edges, both in pre-order, so
+    every old dart keeps its id.
     """
     g = s.graph
     if not (0 <= v < g.n_vertices):
@@ -108,102 +108,35 @@ def expand_vertex(s: Scheme, v: int, tree_shape: str = "comb") -> Scheme:
     if tree_shape not in ("comb", "balanced"):
         raise DegreeTooSmall(f"unknown tree shape {tree_shape!r}")
 
-    next_vertex = [g.n_vertices]
-    next_edge = [g.n_edges]
-    reused_v = [False]
-    tree_rotations = {}  # new internal vertex id -> dart list
-    holder = {}  # original dart -> internal vertex that carries it
-    tree_edges = {}  # edge id -> [endpoint, endpoint]
-
-    def alloc_vertex():
-        if not reused_v[0]:
-            reused_v[0] = True
-            return v
-        vid = next_vertex[0]
-        next_vertex[0] += 1
-        return vid
-
-    def alloc_edge():
-        eid = next_edge[0]
-        next_edge[0] += 1
-        tree_edges[eid] = [None, None]
-        return eid
-
-    if tree_shape == "comb":
-        m = d - 3
-        spine = [alloc_vertex() for _ in range(m + 1)]
-        fs = [alloc_edge() for _ in range(m)]
-        for i in range(m):
-            tree_edges[fs[i]] = [spine[i], spine[i + 1]]
-        tree_rotations[spine[0]] = [x[0], x[1], 2 * fs[0]]
-        holder[x[0]] = holder[x[1]] = spine[0]
-        for i in range(1, m):
-            tree_rotations[spine[i]] = [2 * fs[i - 1] + 1, x[i + 1],
-                                        2 * fs[i]]
-            holder[x[i + 1]] = spine[i]
-        tree_rotations[spine[m]] = [2 * fs[m - 1] + 1, x[m + 1], x[m + 2]]
-        holder[x[m + 1]] = holder[x[m + 2]] = spine[m]
-    else:
-        def grow(segment, up_dart):
-            """Subtree over a contiguous dart segment, hung on up_dart."""
-            vid = alloc_vertex()
-            rot = [up_dart]
-            if len(segment) == 2:
-                parts = [segment[:1], segment[1:]]
+    n, m = g.n_vertices, g.n_edges
+    k = 2 if tree_shape == "comb" else (d + 1) // 2
+    ids = itertools.chain([v], range(n, n + d - 3))
+    rotation = list(s.rotation) + [None] * (d - 3)
+    ends = [list(ab) for ab in g.edges]
+    ends += [[None, None] for _ in range(d - 3)]
+    # (lo, hi, up, f): the tree vertex over darts x[lo:hi], hung on dart
+    # up, whose subtree numbers its edges from f.  A subtree over j darts
+    # has j - 2 edges, so ids follow from the sizes; the stack pops the
+    # tree vertices in pre-order.
+    stack = [(k, d, 2 * m + 1, m + k - 1), (0, k, 2 * m, m + 1)]
+    while stack:
+        lo, hi, up, f = stack.pop()
+        w = next(ids)
+        mid = lo + 1 if tree_shape == "comb" else lo + (hi - lo + 1) // 2
+        darts = [up]
+        below = []
+        for a, b, e in ((lo, mid, f), (mid, hi, f + mid - lo - 1)):
+            if b - a == 1:
+                darts.append(x[a])
             else:
-                mid = (len(segment) + 1) // 2
-                parts = [segment[:mid], segment[mid:]]
-            for part in parts:
-                if len(part) == 1:
-                    rot.append(part[0])
-                    holder[part[0]] = vid
-                else:
-                    eid = alloc_edge()
-                    rot.append(2 * eid)
-                    tree_edges[eid][0] = vid
-                    child = grow(part, 2 * eid + 1)
-                    tree_edges[eid][1] = child
-            tree_rotations[vid] = rot
-            return vid
-
-        mid = (d + 1) // 2
-        root_edge = alloc_edge()
-        left = grow(list(x[:mid]), 2 * root_edge)
-        right = grow(list(x[mid:]), 2 * root_edge + 1)
-        tree_edges[root_edge][0] = left
-        tree_edges[root_edge][1] = right
-
-    # rebuild the graph: old edges keep ids, endpoints at v move to the
-    # internal vertex holding the corresponding dart
-    new_edges = []
-    for e, (a, b) in enumerate(g.edges):
-        na = holder[2 * e] if a == v else a
-        nb = holder[2 * e + 1] if b == v else b
-        new_edges.append((na, nb))
-    created_edges = sorted(tree_edges)
-    for eid in created_edges:
-        a, b = tree_edges[eid]
-        new_edges.append((a, b))
-
-    rotation = []
-    for w in range(next_vertex[0]):
-        if w == v or w >= g.n_vertices:
-            rotation.append(tuple(tree_rotations[w]))
-        else:
-            rotation.append(s.rotation[w])
-    signs = tuple(s.signs) + (0,) * len(created_edges)
-    return make_scheme(mg.build(next_vertex[0], new_edges), rotation, signs)
-
-
-def _expand_step(s: Scheme, v: int, tree_shape: str):
-    expanded = expand_vertex(s, v, tree_shape)
-    g = s.graph
-    new_vertices = tuple(range(g.n_vertices, expanded.graph.n_vertices))
-    new_edges = tuple(range(g.n_edges, expanded.graph.n_edges))
-    dart_map = tuple((h, h) for h in range(g.n_darts))
-    step = ReductionStep("expand", v, None, new_vertices, new_edges,
-                         dart_map)
-    return expanded, step
+                darts.append(2 * e)
+                below.append((a, b, 2 * e + 1, e + 1))
+        stack += reversed(below)
+        rotation[w] = darts
+        for t in darts:
+            ends[t >> 1][t & 1] = w
+    signs = s.signs + (0,) * (d - 3)
+    return make_scheme(mg.build(n + d - 3, ends), rotation, signs)
 
 
 def reduce_to_cubic(s: Scheme, tree_shape: str = "comb"):
@@ -218,10 +151,12 @@ def reduce_to_cubic(s: Scheme, tree_shape: str = "comb"):
     if not mg.is_cyclic_part(s.graph):
         raise NotCyclicPart("reduction expects the cyclic part")
     steps = []
-    while True:
-        degs = s.graph.degrees()
-        todo = [v for v in range(s.graph.n_vertices) if degs[v] > 3]
-        if not todo:
-            return s, tuple(steps)
-        s, step = _expand_step(s, todo[0], tree_shape)
-        steps.append(step)
+    # an expansion leaves every other vertex's degree as it was
+    for v in [v for v, d in enumerate(s.graph.degrees()) if d > 3]:
+        g = s.graph
+        s = expand_vertex(s, v, tree_shape)
+        steps.append(ReductionStep(
+            "expand", v, None, tuple(range(g.n_vertices, s.graph.n_vertices)),
+            tuple(range(g.n_edges, s.graph.n_edges)),
+            tuple((h, h) for h in range(g.n_darts))))
+    return s, tuple(steps)

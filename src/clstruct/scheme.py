@@ -65,7 +65,7 @@ def make_scheme(g: Multigraph, rotation, signs) -> Scheme:
         if tuple(sorted(cyc)) != tuple(at[v]):
             raise BadRotation(
                 f"rotation at vertex {v} must list darts "
-                f"{tuple(at[v])} exactly once, got {cyc}")
+                f"{tuple(at[v])} exactly once, got {cyc}", v)
     try:
         signs = tuple(int(x) for x in signs)
     except (TypeError, ValueError):
@@ -424,16 +424,21 @@ def parse_scheme(text: str):
 
     where darts are written ``<edge-id>.0`` / ``<edge-id>.1``.  Every
     vertex with darts needs a rotation line and every edge a sign line.
+    A bad rotation is reported at its rotation line (or at the vertex
+    line when there is none), a missing sign at the edge line.
     """
     name, g = mg.parse_graph(text)
     rotations = {}
     signs = {}
+    lines = {}  # (directive, id) -> line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "rotation":
+        if parts[0] in ("vertex", "edge"):
+            lines[parts[0], int(parts[1])] = lineno  # checked by parse_graph
+        elif parts[0] == "rotation":
             if len(parts) < 2:
                 raise ParseError(lineno, "expected: rotation <vertex> <darts>")
             v = mg._int_token(lineno, parts[1])
@@ -443,6 +448,7 @@ def parse_scheme(text: str):
                 raise ParseError(lineno, f"duplicate rotation for vertex {v}")
             rotations[v] = [_parse_dart(lineno, t, g.n_edges)
                             for t in parts[2:]]
+            lines["rotation", v] = lineno
         elif parts[0] == "sign":
             if len(parts) != 3:
                 raise ParseError(lineno, "expected: sign <edge> <0|1>")
@@ -456,9 +462,16 @@ def parse_scheme(text: str):
             signs[e] = int(parts[2])
     if len(signs) != g.n_edges:
         missing = sorted(set(range(g.n_edges)) - set(signs))
-        raise MissingSign(f"no sign for edges {missing}")
+        raise MissingSign(f"line {lines['edge', missing[0]]}: "
+                          f"no sign for edges {missing}")
     rotation = [rotations.get(v, ()) for v in range(g.n_vertices)]
-    return name, make_scheme(g, rotation, [signs[e] for e in range(g.n_edges)])
+    try:
+        s = make_scheme(g, rotation, [signs[e] for e in range(g.n_edges)])
+    except BadRotation as exc:
+        v = exc.vertex
+        line = lines.get(("rotation", v), lines["vertex", v])
+        raise BadRotation(f"line {line}: {exc}", v) from None
+    return name, s
 
 
 def format_scheme(name: str, s: Scheme) -> str:

@@ -196,6 +196,29 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert cli.main(["trace", "--input", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("verb, text, line", [
+    # a bad rotation at its rotation line
+    ("trace", THETA.replace("rotation 1 0.1 1.1 2.1", "rotation 1 0.1 1.1"),
+     8),
+    # a missing rotation at its vertex line
+    ("trace", THETA.replace("rotation 1 0.1 1.1 2.1\n", ""), 3),
+    # an unsigned edge at its edge line
+    ("trace", THETA.replace("sign 1 0\n", ""), 5),
+    # a disconnected graph at its graph line
+    ("trace", "# two loops\ngraph g\nvertex 0\nvertex 1\nedge 0 0 0\n"
+              "edge 1 1 1\nrotation 0 0.0 0.1\nrotation 1 1.0 1.1\n"
+              "sign 0 0\nsign 1 0\n", 2),
+    ("structures", "graph g\nvertex 0\nvertex 1\nvertex 2\nedge 0 0 1\n", 1),
+])
+def test_invalid_scheme_files_exit_2_with_a_line(tmp_path, capsys, verb,
+                                                 text, line):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    assert cli.main([verb, "--input", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"clstruct: error: line {line}: ")
+
+
 def test_caps_and_budgets_exit_3(capsys):
     assert cli.main(["graphs", "--q", "7"]) == 3
     assert cli.main(["structures", "--q", "3", "--budget", "10"]) == 3

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -169,3 +170,86 @@ def test_contraction_reaches_every_wedge_class():
     for q in (2, 3):
         reached, total = wedge_classes_reached(q)
         assert reached == set(range(total))
+
+
+# --- golden ids: every output of the moves, byte for byte ---
+
+SHAPES = ("comb", "balanced")
+
+
+def reversed_scheme(s):
+    """The same surface with every edge written from its other end, so
+    that non-loop edges run from the larger to the smaller vertex id."""
+    g = mg.build(s.graph.n_vertices, [(b, a) for a, b in s.graph.edges])
+    return sch.make_scheme(g, [[h ^ 1 for h in c] for c in s.rotation],
+                           s.signs)
+
+
+def move_texts(s):
+    """format_scheme of every expansion (both shapes) of every vertex of
+    degree > 3, of every contraction of an unswitched non-loop edge, and
+    of reduce_to_cubic (both shapes, steps included) on a cyclic part."""
+    g = s.graph
+    for v in range(g.n_vertices):
+        if g.degree(v) > 3:
+            for shape in SHAPES:
+                yield sch.format_scheme("e", rd.expand_vertex(s, v, shape))
+    for e, (a, b) in enumerate(g.edges):
+        if a != b and s.signs[e] == 0:
+            yield sch.format_scheme("c", rd.contract_unswitched(s, e))
+    if mg.is_cyclic_part(g):
+        for shape in SHAPES:
+            t, steps = rd.reduce_to_cubic(s, shape)
+            yield sch.format_scheme("r", t) + repr(steps)
+
+
+def golden_schemes():
+    """Every 2- and 3-loop wedge scheme; every rotation of the 4-loop
+    wedge, its sign table cycling through all 16 (the moves carry signs
+    unchanged on a wedge); every scheme on the cubic graphs of rank 2
+    and 3; 2,000 seeded random schemes, every other one with reversed
+    edges."""
+    for q in (2, 3):
+        yield from cf.enumerate_schemes(mg.build(1, [(0, 0)] * q))
+    wedge4 = mg.build(1, [(0, 0)] * 4)
+    for i, s in enumerate(cf.enumerate_schemes(wedge4)):
+        if i % 16 == (i // 16) % 16:
+            yield s
+    for q in (2, 3):
+        for g in cf.generate_cubic_graphs(q):
+            yield from cf.enumerate_schemes(g)
+    rng = random.Random(7)
+    for i in range(2000):
+        s = random_scheme(rng)
+        yield reversed_scheme(s) if i % 2 else s
+
+
+# recorded with the previous caterpillar/recursive builders and the
+# dict-based contraction
+GOLDEN_RESULTS = 59_636
+GOLDEN_SHA256 = ("27481b8f173c1890739f5fdeb68fec24"
+                 "907f57cb69d592bee629cddb4435e095")
+
+
+def test_reduce_outputs_match_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for s in golden_schemes():
+        for text in move_texts(s):
+            digest.update(text.encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (GOLDEN_RESULTS, GOLDEN_SHA256)
+
+
+def test_expand_700_loop_wedge_both_shapes():
+    """A comb over 1,400 darts is a chain of 1,398 tree vertices."""
+    rng = random.Random(700)
+    darts = list(range(1400))
+    rng.shuffle(darts)
+    s = sch.make_scheme(mg.build(1, [(0, 0)] * 700), [darts],
+                        [rng.randint(0, 1) for _ in range(700)])
+    b = sch.oracle_boundary_count(s)
+    for shape in SHAPES:
+        t = rd.expand_vertex(s, 0, shape)
+        assert set(t.graph.degrees()) == {3}
+        assert sch.boundary_trace(t).b == sch.oracle_boundary_count(t) == b
