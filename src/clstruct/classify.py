@@ -320,13 +320,14 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     for key in grouped:
         members = tuple(grouped[key])
         witnesses = tuple(witness[lam] for lam in members)
+        # the witness makes the representative a strip: b = 1, no trace
         rep_scheme = Scheme(g, witnesses[0], members[0])
         classes.append(StructureClass(
             graph=g,
             representative=members[0],
             members=members,
             witnesses=witnesses,
-            surface=sch.surface_type(rep_scheme)))
+            surface=sch._surface(rep_scheme, 1)))
     classes.sort(key=lambda c: c.representative)
     return tuple(classes)
 
@@ -381,10 +382,78 @@ def catalog_to_json(cat: Catalog) -> str:
     return _json({"q": cat.q, "totals": cat.total, "graphs": graphs})
 
 
+_quote = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
+_SCALARS = {str, int, float, bool, type(None)}
+
+
 def _json(doc) -> str:
     """The JSON layout of every document: sorted keys, two-space
-    indent, a final newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    indent, a final newline.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2)``
+    plus "\\n", whose indented form always runs the pure-Python encoder,
+    for documents of dicts with str keys, lists, str, int, bool, None
+    and finite floats; any other type raises TypeError.  The writer
+    recurses over dicts and lists and joins a list of ints, or of other
+    scalars, in one step; strings go through the C quoter that
+    ``json.dumps`` uses.
+    """
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar(x) -> str:
+    t = type(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return _quote(x)
+    if t is float:
+        return float.__repr__(x)
+    if t is bool or x is None:
+        return _LITERALS[x]
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _write(x, nl: str, out: list) -> None:
+    """Append the JSON text of x to out; nl is a newline followed by the
+    indent of the line x starts on."""
+    t = type(x)
+    if t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            out.append(sep + _quote(key) + ": ")
+            _write(x[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        types = set(map(type, x))
+        if types == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x))
+                       + nl + "]")
+        elif types <= _SCALARS:
+            out.append("[" + inner + ("," + inner).join(map(_scalar, x))
+                       + nl + "]")
+        else:
+            sep = "[" + inner
+            for v in x:
+                out.append(sep)
+                _write(v, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    else:
+        out.append(_scalar(x))
 
 
 def _graph_line(i: int, g: Multigraph) -> str:

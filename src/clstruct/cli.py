@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 
@@ -113,7 +114,15 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }[args.verb]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`clstruct ... | head`): stop quietly, and
+        # send what is still buffered to the null device, not to the
+        # closed pipe at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _INPUT_ERRORS as exc:
         print(f"clstruct: error: {exc}", file=sys.stderr)
         return 2
@@ -180,15 +189,12 @@ def _cmd_structures(args) -> int:
 
 
 def _trace_doc(name, s):
-    trace = sch.boundary_trace(s)
-    surface = sch.surface_type(s)
-    try:
-        strip = sch.is_strip(s)
-    except NotCyclicPart:
-        strip = None
+    b = sch.boundary_trace(s).b
+    surface = sch._surface(s, b)
+    strip = b == 1 if mg.is_cyclic_part(s.graph) else None
     return {
         "name": name,
-        "boundary_circles": trace.b,
+        "boundary_circles": b,
         "strip": strip,
         "switched_edges": sorted(sch.switched_edges(s)),
         "orientable": surface.orientable,

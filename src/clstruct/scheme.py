@@ -368,9 +368,18 @@ def is_orientable(s: Scheme) -> bool:
 
 
 def surface_type(s: Scheme) -> SurfaceType:
+    """The patch invariants of s and its capped surface, from one
+    boundary trace and ``is_orientable``.  Callers that already know
+    the boundary count (a strip has b = 1) use ``_surface`` and skip
+    the trace."""
+    return _surface(s, boundary_trace(s).b)
+
+
+def _surface(s: Scheme, b: int) -> SurfaceType:
+    """``surface_type`` of s, given that its patch has b boundary
+    circles."""
     g = s.graph
     euler_patch = g.n_vertices - g.n_edges
-    b = boundary_trace(s).b
     orient = is_orientable(s)
     euler_closed = euler_patch + b
     if orient:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -193,6 +194,12 @@ def test_catalog_json_is_deterministic_and_thread_safe():
     assert base == cf.catalog_to_json(cf.catalog(3))
     for threads in (2, 5, 8):
         assert base == cf.catalog_to_json(cf.catalog(3, threads=threads))
+
+
+def test_rank4_catalog_json_digest():
+    text = cf.catalog_to_json(cf.catalog(4))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "5edc1af61fc70a18149a44c76c26f09d6d44f9ed89a77c336016f6f6138e2001"
 
 
 def test_catalog_json_schema():

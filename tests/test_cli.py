@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -366,3 +369,30 @@ def test_structures_rejects_bad_counts(argv, capsys):
 def test_structures_accepts_zero_budget(capsys):
     # zero is a valid budget; it is exceeded, which is exit 3
     assert cli.main(["structures", "--q", "2", "--budget", "0"]) == 3
+
+
+def test_closed_stdout_ends_quietly():
+    # `clstruct graphs --q 5 | head -n 1`: the reader leaves after one
+    # line.  A pipe of one page is smaller than the output, so the
+    # program is still writing when the pipe closes.
+    fcntl = pytest.importorskip("fcntl")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clstruct", "graphs", "--q", "5"],
+        stdout=w, stderr=subprocess.PIPE, env=env)
+    os.close(w)
+    first = b""
+    while not first.endswith(b"\n"):
+        chunk = os.read(r, 1)
+        assert chunk, "no complete first line"
+        first += chunk
+    os.close(r)
+    _out, err = proc.communicate(timeout=60)
+    assert first == b"71 cubic multigraphs with q = 5\n"
+    assert err == b""
+    assert proc.returncode == 0
+

@@ -3,9 +3,12 @@
 Every test runs a fixed number of derandomized examples with no example
 database, so a run is deterministic and leaves no files behind.
 """
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clstruct import classify as cf
 from clstruct import multigraph as mg
 from clstruct import reduce as rd
 from clstruct import scheme as sch
@@ -91,3 +94,27 @@ def test_internal_constructors_build_valid_schemes(s):
              for shape in ("comb", "balanced")]
     for r in made:
         assert sch.make_scheme(r.graph, r.rotation, r.signs) == r
+
+
+# Text with the characters JSON must escape, next to plain and non-ASCII
+# ones (the default alphabet leaves out only surrogates).
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7f'),
+                              st.characters()), max_size=8)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-2 ** 100, 2 ** 100), JSON_TEXT,
+    st.floats(allow_nan=False, allow_infinity=False))
+# Lists of only ints and bools check that the int fast path takes no bool.
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(st.integers() | st.booleans(), max_size=5),
+        st.dictionaries(JSON_TEXT, kids, max_size=5)),
+    max_leaves=30)
+
+
+@FIXED
+@given(JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert cf._json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
