@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import multigraph as mg
-from .errors import (DegreeTooSmall, LoopContraction, NotCyclicPart,
-                     SwitchedContraction)
-from .scheme import Scheme, make_scheme
+from .errors import (ClstructError, DegreeTooSmall, LoopContraction,
+                     NotCyclicPart, SwitchedContraction)
+from .scheme import Scheme, _anchor
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,14 @@ def contract_unswitched(s: Scheme, e: int) -> Scheme:
     read from just after dart e.1 around; this is exactly what
     flattening the band of e into the two vertex disks does to the
     boundary order.
+
+    ``s`` must be a valid scheme with anchored rotations, as
+    ``make_scheme`` returns; the result is then one too, and is built
+    without validating it again.
     """
     g = s.graph
+    if not (0 <= e < g.n_edges):
+        raise ClstructError(f"no edge {e}")
     u, v = g.edges[e]
     if u == v:
         raise LoopContraction(f"edge {e} is a loop")
@@ -65,7 +71,7 @@ def contract_unswitched(s: Scheme, e: int) -> Scheme:
     ru, rv = s.rotation[u], s.rotation[v]
     iu, iv = ru.index(h), rv.index(k)
     rotation = list(s.rotation)
-    rotation[u] = ru[:iu] + rv[iv + 1:] + rv[:iv] + ru[iu + 1:]
+    rotation[u] = _anchor(ru[:iu] + rv[iv + 1:] + rv[:iv] + ru[iu + 1:])
     del rotation[v]
 
     def vertex(x):
@@ -74,10 +80,14 @@ def contract_unswitched(s: Scheme, e: int) -> Scheme:
             x = u
         return x - 1 if x > v else x
 
-    rotation = [[t - 2 if t > h else t for t in cyc] for cyc in rotation]
-    edges = [(vertex(a), vertex(b)) for a, b in g.edges[:e] + g.edges[e + 1:]]
+    # the shift keeps the order of the darts left, so every anchor holds
+    rotation = tuple(tuple([t - 2 if t > h else t for t in cyc])
+                     for cyc in rotation)
+    edges = tuple([(vertex(a), vertex(b))
+                   for a, b in g.edges[:e] + g.edges[e + 1:]])
     signs = s.signs[:e] + s.signs[e + 1:]
-    return make_scheme(mg.build(g.n_vertices - 1, edges), rotation, signs)
+    # contracting a non-loop edge keeps the graph connected
+    return Scheme(mg.Multigraph(g.n_vertices - 1, edges), rotation, signs)
 
 
 def expand_vertex(s: Scheme, v: int, tree_shape: str = "comb") -> Scheme:
@@ -97,6 +107,10 @@ def expand_vertex(s: Scheme, v: int, tree_shape: str = "comb") -> Scheme:
     are appended after the existing vertices, and the tree edges (the
     root edge first) after the existing edges, both in pre-order, so
     every old dart keeps its id.
+
+    ``s`` must be a valid scheme with anchored rotations, as
+    ``make_scheme`` returns; the result is then one too, and is built
+    without validating it again.
     """
     g = s.graph
     if not (0 <= v < g.n_vertices):
@@ -132,11 +146,12 @@ def expand_vertex(s: Scheme, v: int, tree_shape: str = "comb") -> Scheme:
                 darts.append(2 * e)
                 below.append((a, b, 2 * e + 1, e + 1))
         stack += reversed(below)
-        rotation[w] = darts
+        rotation[w] = _anchor(darts)
         for t in darts:
             ends[t >> 1][t & 1] = w
-    signs = s.signs + (0,) * (d - 3)
-    return make_scheme(mg.build(n + d - 3, ends), rotation, signs)
+    # a tree in place of v keeps the graph connected
+    return Scheme(mg.Multigraph(n + d - 3, tuple(map(tuple, ends))),
+                  tuple(rotation), s.signs + (0,) * (d - 3))
 
 
 def reduce_to_cubic(s: Scheme, tree_shape: str = "comb"):

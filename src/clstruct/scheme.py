@@ -17,7 +17,6 @@ second exists purely to check the first.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from . import multigraph as mg
@@ -193,16 +192,21 @@ def oracle_boundary_count(s: Scheme) -> int:
     sign 1 (the half-twist).  Unglued segments then form a disjoint
     union of circles, counted as components of a 2-regular graph on
     glued corner classes.  Shares nothing with boundary_trace.
+
+    Points are numbered by offsets: corner j of vertex v is
+    ``base[v] + j``, with the corners of the vertices laid out one
+    after another in vertex order, and corner i of the rectangle of
+    edge e is ``bands + 4e + i``, after all the corners.
     """
     g = s.graph
-    point_id = {}
+    base = []
+    bands = 0
+    for cyc in s.rotation:
+        base.append(bands)
+        bands += 2 * len(cyc)
+    n_points = bands + 4 * g.n_edges
 
-    def pid(key):
-        if key not in point_id:
-            point_id[key] = len(point_id)
-        return point_id[key]
-
-    arc_ends = {}
+    arc_ends = [None] * g.n_darts
     free_segments = []
     isolated = 0
     for v in range(g.n_vertices):
@@ -211,20 +215,18 @@ def oracle_boundary_count(s: Scheme) -> int:
         if d == 0:
             isolated += 1
             continue
+        o = base[v]
         for i, h in enumerate(cyc):
-            a = pid(("corner", v, 2 * i))
-            b = pid(("corner", v, 2 * i + 1))
-            c = pid(("corner", v, (2 * i + 2) % (2 * d)))
-            arc_ends[h] = (a, b)
-            free_segments.append((b, c))
+            a = o + 2 * i
+            c = o + (2 * i + 2) % (2 * d)
+            arc_ends[h] = (a, a + 1)
+            free_segments.append((a + 1, c))
 
     gluings = []
     band_sides = []
     for e in range(g.n_edges):
-        p0 = pid(("band", e, 0))
-        p1 = pid(("band", e, 1))
-        p2 = pid(("band", e, 2))
-        p3 = pid(("band", e, 3))
+        p0 = bands + 4 * e
+        p1, p2, p3 = p0 + 1, p0 + 2, p0 + 3
         band_sides.append((p1, p2))
         band_sides.append((p3, p0))
         a0, b0 = arc_ends[2 * e]
@@ -238,33 +240,34 @@ def oracle_boundary_count(s: Scheme) -> int:
             gluings.append((p2, a1))
             gluings.append((p3, b1))
 
-    dsu = mg._UnionFind(len(point_id))
+    dsu = mg._UnionFind(n_points)
     for (a, b) in gluings:
         dsu.union(a, b)
 
     segments = free_segments + band_sides
     seg_ends = [(dsu.find(a), dsu.find(b)) for (a, b) in segments]
-    incident = defaultdict(list)
+    incident = [[] for _ in range(n_points)]
     for i, (a, b) in enumerate(seg_ends):
         incident[a].append(i)
         incident[b].append(i)
-    for node, inc in incident.items():
-        assert len(inc) == 2, "unglued segments must form circles"
+    # every glued class has a segment end, and only its root holds them
+    for inc in incident:
+        assert len(inc) in (0, 2), "unglued segments must form circles"
 
-    seen = set()
+    seen = [False] * len(segments)
     circles = 0
     for i in range(len(segments)):
-        if i in seen:
+        if seen[i]:
             continue
         circles += 1
-        seen.add(i)
+        seen[i] = True
         stack = [i]
         while stack:
             j = stack.pop()
             for node in seg_ends[j]:
                 for k in incident[node]:
-                    if k not in seen:
-                        seen.add(k)
+                    if not seen[k]:
+                        seen[k] = True
                         stack.append(k)
     return circles + isolated
 
@@ -395,13 +398,24 @@ def component_subscheme(s: Scheme, component: mg.Component) -> Scheme:
     Vertices and edges are reindexed densely in increasing old-id
     order; each rotation keeps only the darts of surviving edges, in
     the same cyclic order.
+
+    ``s`` must be a valid scheme with anchored rotations, as
+    ``make_scheme`` returns, and ``component`` one of
+    ``mg.bridges_and_components(s.graph).components``; the result is
+    then a valid scheme too, and is built without validating it again.
     """
-    sub, vmap, emap = mg._restrict(s.graph, component.vertices,
-                                   component.edges)
-    rotation = [[2 * emap[h >> 1] + (h & 1)
-                 for h in s.rotation[v] if (h >> 1) in emap]
-                for v in vmap]
-    return make_scheme(sub, rotation, [s.signs[e] for e in emap])
+    vmap = {v: i for i, v in enumerate(sorted(component.vertices))}
+    emap = {e: i for i, e in enumerate(sorted(component.edges))}
+    ends = s.graph.edges
+    edges = tuple([(vmap[ends[e][0]], vmap[ends[e][1]]) for e in emap])
+    # dropping darts can drop a rotation's smallest one: anchor again
+    rotation = tuple(_anchor([2 * emap[h >> 1] + (h & 1)
+                              for h in s.rotation[v] if (h >> 1) in emap])
+                     for v in vmap)
+    # a 2-connected component is connected and its edges touch exactly
+    # its vertices
+    return Scheme(mg.Multigraph(len(vmap), edges), rotation,
+                  tuple([s.signs[e] for e in emap]))
 
 
 # --- text format ---

@@ -80,8 +80,8 @@ def test_parse_format_round_trip(name, s):
 @FIXED
 @given(schemes())
 def test_internal_constructors_build_valid_schemes(s):
-    # vertex_flip builds its Scheme without make_scheme; the others
-    # validate, and all four must give what make_scheme would
+    # the four moves build their Scheme without mg.build or
+    # make_scheme, and must give what those would
     g = s.graph
     made = [sch.vertex_flip(s, v) for v in range(g.n_vertices)]
     made += [sch.component_subscheme(s, comp)
@@ -93,6 +93,7 @@ def test_internal_constructors_build_valid_schemes(s):
              for v in range(g.n_vertices) if g.degree(v) > 3
              for shape in ("comb", "balanced")]
     for r in made:
+        assert mg.build(r.graph.n_vertices, r.graph.edges) == r.graph
         assert sch.make_scheme(r.graph, r.rotation, r.signs) == r
 
 

@@ -9,8 +9,8 @@ from clstruct import multigraph as mg
 from clstruct import reduce as rd
 from clstruct import scheme as sch
 from clstruct.cli import random_scheme, roundtrip_once
-from clstruct.errors import (DegreeTooSmall, LoopContraction, NotCyclicPart,
-                             SwitchedContraction)
+from clstruct.errors import (ClstructError, DegreeTooSmall, LoopContraction,
+                             NotCyclicPart, SwitchedContraction)
 
 
 def wedge_scheme(rotation, signs):
@@ -54,6 +54,35 @@ def test_contract_refuses_loops_and_switched_edges():
         rd.contract_unswitched(s, 0)
     with pytest.raises(SwitchedContraction):
         rd.contract_unswitched(theta_scheme([1, 0, 0]), 0)
+
+
+@pytest.mark.parametrize("e", [-1, 3])
+def test_contract_rejects_edge_ids_out_of_range(e):
+    # -1 would reach Python's negative indexing, 3 = E the end of a tuple
+    with pytest.raises(ClstructError, match=f"no edge {e}"):
+        rd.contract_unswitched(theta_scheme([0, 0, 0]), e)
+
+
+def test_moves_build_valid_schemes_on_every_cubic_scheme():
+    """The moves skip validation; on every rank-2/3 cubic scheme each
+    component subscheme and each contraction of an unswitched non-loop
+    edge must be what mg.build and make_scheme would build."""
+    count = 0
+    for q in (2, 3):
+        for g in cf.generate_cubic_graphs(q):
+            comps = mg.bridges_and_components(g).components
+            for s in cf.enumerate_schemes(g):
+                made = [sch.component_subscheme(s, c) for c in comps]
+                made += [rd.contract_unswitched(s, e)
+                         for e, (u, v) in enumerate(g.edges)
+                         if u != v and s.signs[e] == 0]
+                for r in made:
+                    assert mg.build(r.graph.n_vertices, r.graph.edges) \
+                        == r.graph
+                    assert sch.make_scheme(r.graph, r.rotation,
+                                           r.signs) == r
+                count += len(made)
+    assert count == 10_336 + 12_352  # subschemes + contractions
 
 
 def test_contract_preserves_boundary_everywhere():

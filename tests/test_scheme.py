@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -163,6 +164,102 @@ def test_oracle_matches_tracer_on_a_rank3_graph():
         assert sch.boundary_trace(s).b == sch.oracle_boundary_count(s)
         count += 1
     assert count == (2 ** 4) * (2 ** 6)
+
+
+def dict_numbered_oracle(s):
+    """The polygon-gluing oracle as it was before its points were
+    numbered by offsets: a dict numbers the points by tuple keys on
+    first use, and a set holds the segments seen.  Test-only reference
+    for ``sch.oracle_boundary_count``."""
+    g = s.graph
+    point_id = {}
+
+    def pid(key):
+        if key not in point_id:
+            point_id[key] = len(point_id)
+        return point_id[key]
+
+    arc_ends = {}
+    free_segments = []
+    isolated = 0
+    for v in range(g.n_vertices):
+        cyc = s.rotation[v]
+        d = len(cyc)
+        if d == 0:
+            isolated += 1
+            continue
+        for i, h in enumerate(cyc):
+            a = pid(("corner", v, 2 * i))
+            b = pid(("corner", v, 2 * i + 1))
+            c = pid(("corner", v, (2 * i + 2) % (2 * d)))
+            arc_ends[h] = (a, b)
+            free_segments.append((b, c))
+
+    gluings = []
+    band_sides = []
+    for e in range(g.n_edges):
+        p0 = pid(("band", e, 0))
+        p1 = pid(("band", e, 1))
+        p2 = pid(("band", e, 2))
+        p3 = pid(("band", e, 3))
+        band_sides.append((p1, p2))
+        band_sides.append((p3, p0))
+        a0, b0 = arc_ends[2 * e]
+        a1, b1 = arc_ends[2 * e + 1]
+        gluings.append((p0, b0))
+        gluings.append((p1, a0))
+        if s.signs[e] == 0:
+            gluings.append((p2, b1))
+            gluings.append((p3, a1))
+        else:
+            gluings.append((p2, a1))
+            gluings.append((p3, b1))
+
+    dsu = mg._UnionFind(len(point_id))
+    for (a, b) in gluings:
+        dsu.union(a, b)
+
+    segments = free_segments + band_sides
+    seg_ends = [(dsu.find(a), dsu.find(b)) for (a, b) in segments]
+    incident = defaultdict(list)
+    for i, (a, b) in enumerate(seg_ends):
+        incident[a].append(i)
+        incident[b].append(i)
+    for node, inc in incident.items():
+        assert len(inc) == 2, "unglued segments must form circles"
+
+    seen = set()
+    circles = 0
+    for i in range(len(segments)):
+        if i in seen:
+            continue
+        circles += 1
+        seen.add(i)
+        stack = [i]
+        while stack:
+            j = stack.pop()
+            for node in seg_ends[j]:
+                for k in incident[node]:
+                    if k not in seen:
+                        seen.add(k)
+                        stack.append(k)
+    return circles + isolated
+
+
+def test_oracle_matches_its_dict_numbered_version():
+    cubic = [s for q in (2, 3) for g in cf.generate_cubic_graphs(q)
+             for s in cf.enumerate_schemes(g)]
+    assert len(cubic) == 5184
+    point = [sch.make_scheme(mg.build(1, []), [()], [])]
+    wedge = list(cf.enumerate_schemes(mg.build(1, [(0, 0)] * 3)))
+    assert len(wedge) == 960
+    rng = random.Random(11)
+    drawn = [cli.random_scheme(rng) for _ in range(2000)]
+    loops = sum(any(u == v for u, v in s.graph.edges) for s in drawn)
+    parallels = sum(len(set(s.graph.edges)) < s.graph.n_edges for s in drawn)
+    assert loops > 300 and parallels > 300
+    for s in cubic + point + wedge + drawn:
+        assert sch.oracle_boundary_count(s) == dict_numbered_oracle(s), s
 
 
 def test_is_strip_requires_cyclic_part():
