@@ -162,12 +162,16 @@ def test_catalog_rank3():
 
 
 def test_catalog_rank5():
-    # about 5 s: the whole rank-5 catalog, each representative checked
-    # with its witness rotation by the polygon-gluing oracle
+    # about 5 s: the whole rank-5 catalog, its JSON bytes pinned, each
+    # representative checked with its witness rotation by the
+    # polygon-gluing oracle
     cat = cf.catalog(5)
     assert len(cat.graphs) == 71
     assert cat.total == 8187
     assert sum(len(c.members) for cs in cat.classes for c in cs) == 116608
+    text = cf.catalog_to_json(cat)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "fd0b7185abd859d7ecbcb02adf5083b49b3b6227a9bbe4fef6789c1b4cacf42a"
     for g, classes in zip(cat.graphs, cat.classes):
         for c in classes:
             s = sch.Scheme(g, c.witnesses[0], c.representative)
