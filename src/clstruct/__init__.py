@@ -21,8 +21,8 @@ from .classify import (Catalog, StructureClass, catalog, catalog_to_json,
 from .multigraph import (Component, Decomposition, Multigraph,
                          automorphisms, bridges_and_components, build,
                          canonical_form, cycle_rank, cyclic_part,
-                         format_graph, fundamental_cycle_basis,
-                         is_cyclic_part, isomorphic, parse_graph)
+                         format_graph, is_cyclic_part, isomorphic,
+                         parse_graph)
 from .reduce import (ReductionStep, contract_unswitched, expand_vertex,
                      high_degree_count, reduce_to_cubic)
 from .scheme import (BoundaryTrace, Scheme, SurfaceType, boundary_trace,
@@ -37,7 +37,7 @@ __all__ = [
     "errors",
     "Multigraph", "Component", "Decomposition", "build", "cycle_rank",
     "bridges_and_components", "cyclic_part", "is_cyclic_part",
-    "fundamental_cycle_basis", "canonical_form", "isomorphic",
+    "canonical_form", "isomorphic",
     "automorphisms", "parse_graph", "format_graph",
     "Scheme", "BoundaryTrace", "SurfaceType", "make_scheme",
     "boundary_trace", "oracle_boundary_count", "is_strip",

@@ -24,15 +24,24 @@ coset holds 2^(V-1) tables.  Per 2-connected component the 2^q tables
 that are 0 on a spanning tree represent the cosets; one walk over the
 rotations tests every representative still unrealized with a
 single-orbit strip test, and each realizable one contributes its whole
-coset.  Witnesses come from one more such walk, on the whole graph:
-each realizable table gets the first rotation, in enumeration order,
-that makes it a strip.
+coset.  Each realizable table gets as witness the first rotation, in
+enumeration order, that makes it a strip.  When no vertex has degree
+above 3, a vertex has at most two options, and the witnesses come from
+that same walk, made exhaustive over half the rotations: it records
+every strip rotation of each representative, and a flip transports
+them to the rest of the coset by toggling option bits (Stahl's
+equivalences on generalized embedding schemes, J. Graph Theory 2,
+1978).  The components share no vertex there, so the whole-graph
+witness puts the component witnesses together.  A graph with a vertex
+of higher degree gets its witnesses from one more rotation-outer walk,
+on the whole graph.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
@@ -58,8 +67,10 @@ def scheme_count(g: Multigraph) -> int:
     return count
 
 
-def _rotations(g: Multigraph):
-    """All anchored rotation systems, in deterministic order."""
+def _vertex_options(g: Multigraph) -> list:
+    """Per vertex, its anchored rotations in the order ``_rotations``
+    takes them: (deg(v)-1)! of them, the darts after the anchor
+    permuted in lexicographic order."""
     per_vertex = []
     for v in range(g.n_vertices):
         darts = g.darts_at(v)
@@ -69,7 +80,35 @@ def _rotations(g: Multigraph):
         anchor, rest = darts[0], darts[1:]
         per_vertex.append([(anchor,) + p
                            for p in itertools.permutations(rest)])
-    return itertools.product(*per_vertex)
+    return per_vertex
+
+
+def _rotations(g: Multigraph):
+    """All anchored rotation systems, in deterministic order."""
+    return itertools.product(*_vertex_options(g))
+
+
+def _rotation_at(options, index: int) -> tuple:
+    """The rotation at position ``index`` of
+    ``itertools.product(*options)``, vertex 0 the most significant."""
+    picks = []
+    for opts in reversed(options):
+        index, k = divmod(index, len(opts))
+        picks.append(opts[k])
+    return tuple(reversed(picks))
+
+
+def _option_bits(g: Multigraph) -> list:
+    """Per vertex, the weight of its option in a ``_rotations`` index
+    when no vertex has degree above 3: a cubic vertex has two options
+    and takes one bit, the first cubic vertex the top one; every other
+    vertex has one option and weight 0."""
+    bits, bit = [0] * g.n_vertices, 1
+    degrees = g.degrees()
+    for v in reversed(range(g.n_vertices)):
+        if degrees[v] == 3:
+            bits[v], bit = bit, bit << 1
+    return bits
 
 
 def enumerate_schemes(g: Multigraph, budget: int | None = DEFAULT_BUDGET):
@@ -159,49 +198,85 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     whole coset of vertex-flip toggles.  ``threads`` splits the
     representatives over a thread pool.  Returns a sorted tuple.
     """
+    return _realizable(g, threads, budget)[0]
+
+
+def _realizable(g: Multigraph, threads: int, budget: int | None):
+    """The sorted tuple of ``realizable_signs`` and, when no vertex of g
+    has degree above 3, the ``_rotations`` index of each table's
+    witness (else None).
+
+    On such a graph a vertex in two 2-connected components would need
+    four darts, so the components share no vertex; and the option of a
+    vertex outside a component's cubic vertices changes no component
+    subscheme.  So the strip rotations of a table are the product of
+    those of its component tables, with every other option free, and
+    the first of them takes each component's witness options and option
+    0 at every other vertex: the lexmin of a product over disjoint
+    coordinates is the product of the lexmins.
+    """
     if not mg.is_cyclic_part(g):
         raise NotCyclicPart("realizable_signs needs the cyclic part")
+    transport = max(g.degrees()) <= 3
+    E = g.n_edges
     decomp = mg.bridges_and_components(g)
-    per_component = []
-    for comp in decomp.components:
-        comp_edges = sorted(comp.edges)
-        sub = mg._restrict(g, comp.vertices, comp.edges)[0]
-        realizable = _component_realizable(sub, threads, budget)
-        per_component.append((comp_edges, realizable))
-
-    out = []
-    bridge_list = list(decomp.bridges)
-    comp_choices = [r for (_es, r) in per_component]
-    for picks in itertools.product(*comp_choices):
-        base = [0] * g.n_edges
-        for (comp_edges, _r), local in zip(per_component, picks):
-            for pos, e in enumerate(comp_edges):
-                base[e] = local[pos]
-        for bvals in itertools.product((0, 1), repeat=len(bridge_list)):
-            lam = list(base)
-            for e, x in zip(bridge_list, bvals):
-                lam[e] = x
-            out.append(tuple(lam))
-    return tuple(sorted(out))
+    choices = [_component_realizable(g, comp, threads, budget, transport)
+               for comp in decomp.components]
+    bridge_values = [0]
+    for e in decomp.bridges:
+        bridge_values += [x | 1 << (E - 1 - e) for x in bridge_values]
+    found = []
+    for picks in itertools.product(*choices):
+        table = sum(t for t, _w in picks)
+        index = sum(w for _t, w in picks) if transport else None
+        found += [(table | x, index) for x in bridge_values]
+    found.sort()
+    # a leading 1 keeps the leading zeros, and gives () when E = 0
+    tables = tuple(tuple(map(int, f"{(1 << E) | t:b}"[1:]))
+                   for t, _i in found)
+    return tables, [i for _t, i in found] if transport else None
 
 
-def _component_realizable(sub: Multigraph, threads: int,
-                          budget: int | None):
+def _component_realizable(g: Multigraph, comp: mg.Component, threads: int,
+                          budget: int | None, transport: bool) -> list:
+    """The realizable tables of g restricted to a 2-connected component,
+    as (table, witness) pairs of ints in the coordinates of g: tables
+    packed edge 0 in the top bit, 0 on every edge outside the component.
+
+    With ``transport`` (no vertex of degree above 3) the witness holds
+    the component's share of a ``_rotations(g)`` index, the options of
+    its cubic vertices in the first rotation that makes the table a
+    strip.  One walk records every strip rotation R_rep of each coset
+    representative, and a flip at v maps the strip rotations of a table
+    onto those of the table xor cut(v), toggling v's option bit.  So the
+    witness of rep xor cut(S) is min(r xor mask(S) for r in R_rep),
+    mask(S) the option bits of the cubic vertices in S.  Otherwise the
+    walk ends once every representative has a strip rotation, and the
+    witness is None.
+    """
+    sub = mg._restrict(g, comp.vertices, comp.edges)[0]
     total = scheme_count(sub)
     if budget is not None and total > budget:
         raise BudgetExceeded(
             f"{total} schemes on a component exceed the budget {budget}")
-    E = sub.n_edges
+    # the bit of each component edge in a table of g, and the weight of
+    # each component vertex's option in a rotation index of g
+    edge_bit = [1 << (g.n_edges - 1 - e) for e in sorted(comp.edges)]
+    weight = _option_bits(g)
+    option = [weight[v] if d == 3 else 0
+              for v, d in zip(sorted(comp.vertices), sub.degrees())]
     _tree, free = mg._spanning_tree(sub)
     reps = []
     for bits in itertools.product((0, 1), repeat=len(free)):
-        signs = [0] * E
+        signs = [0] * sub.n_edges
         for e, x in zip(free, bits):
             signs[e] = x
         reps.append(tuple(signs))
 
     def scan(chunk):
-        return list(_strip_witnesses(sub, chunk))
+        if transport:
+            return _strip_rotation_sets(sub, chunk, option)
+        return [(rep, None) for rep in _strip_witnesses(sub, chunk)]
 
     if threads <= 1 or len(reps) < 2 * threads:
         found = scan(reps)
@@ -210,16 +285,63 @@ def _component_realizable(sub: Multigraph, threads: int,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             found = [x for part in pool.map(scan, chunks) for x in part]
 
-    # every table of a realizable coset: rep xor a sum of vertex cuts
-    span = [0]
+    # every table of a realizable coset: rep xor a sum of vertex cuts,
+    # each cut paired with the option bits of its vertices
+    span = [(0, 0)]
     for v in range(sub.n_vertices - 1):
-        cut = 0
-        for e, (a, b) in enumerate(sub.edges):
-            if (a == v) != (b == v):
-                cut |= 1 << (E - 1 - e)
-        span += [x ^ cut for x in span]
-    tables = sorted(_pack_signs(rep) ^ x for rep in found for x in span)
-    return [tuple(map(int, f"{x:0{E}b}")) for x in tables]
+        cut = sum(bit for bit, (a, b) in zip(edge_bit, sub.edges)
+                  if (a == v) != (b == v))
+        span += [(x ^ cut, m ^ option[v]) for (x, m) in span]
+    out = []
+    for rep, rs in found:
+        table = sum(bit for bit, x in zip(edge_bit, rep) if x)
+        out += [(table ^ x, None if rs is None else _lexmin_xor(rs, m))
+                for x, m in span]
+    return out
+
+
+def _strip_rotation_sets(sub: Multigraph, tables, option) -> list:
+    """(table, R) for every table some rotation makes a strip, R the
+    sorted indices of all such rotations, on a graph with no vertex of
+    degree above 3.  The index of a rotation of ``_rotations(sub)``
+    adds ``option[v]`` for every vertex v at its second option; the
+    weights of the cubic vertices must fall in vertex order, the rest
+    be 0.
+
+    Only the first half of the rotations is walked.  Flipping every
+    vertex reverses every rotation and leaves the signs alone, so it
+    keeps the boundary count and toggles every option bit: R is closed
+    under xor with all of them, and its second half mirrors the first.
+    """
+    index = [0]
+    for w in reversed(option):
+        if w:
+            index += [x + w for x in index]
+    full = index[-1]
+    found = [(signs, []) for signs in tables]
+    for i, rotation in zip(index[:(len(index) + 1) // 2], _rotations(sub)):
+        turn = sch._turn_table(sub.n_darts, rotation)
+        for signs, rs in found:
+            if sch._single_orbit_strip(turn, signs):
+                rs.append(i)
+    return [(signs, rs + [r ^ full for r in reversed(rs)] if full else rs)
+            for signs, rs in found if rs]
+
+
+def _lexmin_xor(rs: list, m: int) -> int:
+    """min(r ^ m for r in rs), for a sorted nonempty list rs of ints
+    >= 0: bit by bit from the top, keep the range of rs that shares the
+    best prefix so far, split by bisection."""
+    lo, hi, prefix = 0, len(rs), 0
+    for k in reversed(range(max(rs[-1], m).bit_length())):
+        bit = 1 << k
+        mid = bisect_left(rs, prefix | bit, lo, hi)
+        # take the half whose bit k matches m's, unless it is empty
+        if (m & bit and mid < hi) or lo == mid:
+            lo, prefix = mid, prefix | bit
+        else:
+            hi = mid
+    return rs[lo] ^ m
 
 
 def _strip_witnesses(g: Multigraph, tables) -> dict:
@@ -275,10 +397,13 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     edge is 1 (complementing a component flips only its own bits).  The
     classes are the orbits of the automorphisms on normal forms, each
     computed once.  ``witnesses[i]`` is the first rotation, in
-    ``_rotations`` order, that makes ``members[i]`` a strip; one
-    rotation-outer walk finds them for every realizable table at once.
+    ``_rotations`` order, that makes ``members[i]`` a strip.  When no
+    vertex has degree above 3 the realizability search hands over its
+    index, found per component by flip transport; otherwise one
+    rotation-outer walk over the whole graph finds them for every
+    realizable table at once.
     """
-    realizable = realizable_signs(g, threads=threads, budget=budget)
+    realizable, index = _realizable(g, threads, budget)
     decomp = mg.bridges_and_components(g)
     eperms = {ep for (_vp, ep) in mg.automorphisms(g)}
     E = g.n_edges
@@ -315,7 +440,12 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
                 class_of[normal("".join(permute(text)))] = x
         grouped.setdefault(class_of[x], []).append(lam)
 
-    witness = _strip_witnesses(g, realizable)
+    if index is None:
+        witness = _strip_witnesses(g, realizable)
+    else:
+        options = _vertex_options(g)
+        rotation = {i: _rotation_at(options, i) for i in set(index)}
+        witness = {lam: rotation[i] for lam, i in zip(realizable, index)}
     classes = []
     for key in grouped:
         members = tuple(grouped[key])

@@ -25,12 +25,12 @@ from . import reduce as rd
 from . import scheme as sch
 from .errors import (BadRotation, BudgetExceeded, DegreeTooSmall,
                      Disconnected, EndpointOutOfRange, LoopContraction,
-                     MissingSign, NotCyclicPart, ParseError,
+                     MissingSign, NoSuchVertex, NotCyclicPart, ParseError,
                      SwitchedContraction, TooLarge)
 
 _INPUT_ERRORS = (ParseError, Disconnected, EndpointOutOfRange, BadRotation,
                  MissingSign, NotCyclicPart, LoopContraction,
-                 SwitchedContraction, DegreeTooSmall, OSError)
+                 SwitchedContraction, DegreeTooSmall, NoSuchVertex, OSError)
 
 
 def _int_at_least(low):

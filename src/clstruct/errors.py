@@ -50,6 +50,14 @@ class DegreeTooSmall(ClstructError):
     """Vertex expansion requires degree at least 4."""
 
 
+class NoSuchVertex(ClstructError):
+    """A vertex id outside 0..V-1."""
+
+
+class UnknownTreeShape(ClstructError):
+    """Vertex expansion knows the tree shapes "comb" and "balanced"."""
+
+
 class ParseError(ClstructError):
     """Malformed input text; carries the 1-based offending line number."""
 

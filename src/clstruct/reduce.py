@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from . import multigraph as mg
 from .errors import (ClstructError, DegreeTooSmall, LoopContraction,
-                     NotCyclicPart, SwitchedContraction)
+                     NoSuchVertex, NotCyclicPart, SwitchedContraction,
+                     UnknownTreeShape)
 from .scheme import Scheme, _anchor
 
 
@@ -114,13 +115,13 @@ def expand_vertex(s: Scheme, v: int, tree_shape: str = "comb") -> Scheme:
     """
     g = s.graph
     if not (0 <= v < g.n_vertices):
-        raise DegreeTooSmall(f"no vertex {v}")
+        raise NoSuchVertex(f"no vertex {v}")
     x = s.rotation[v]
     d = len(x)
     if d <= 3:
         raise DegreeTooSmall(f"vertex {v} has degree {d}, need > 3")
     if tree_shape not in ("comb", "balanced"):
-        raise DegreeTooSmall(f"unknown tree shape {tree_shape!r}")
+        raise UnknownTreeShape(f"unknown tree shape {tree_shape!r}")
 
     n, m = g.n_vertices, g.n_edges
     k = 2 if tree_shape == "comb" else (d + 1) // 2

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import multigraph as mg
-from .errors import BadRotation, MissingSign, NotCyclicPart, ParseError
+from .errors import (BadRotation, MissingSign, NoSuchVertex, NotCyclicPart,
+                     ParseError)
 from .multigraph import Multigraph
 
 
@@ -286,7 +287,7 @@ def vertex_flip(s: Scheme, v: int) -> Scheme:
     ``make_scheme`` returns; the result is then one too, and is built
     without validating it again."""
     if not (0 <= v < s.graph.n_vertices):
-        raise BadRotation(f"no vertex {v}")
+        raise NoSuchVertex(f"no vertex {v}")
     rotation = list(s.rotation)
     rotation[v] = _anchor(reversed(rotation[v]))
     signs = list(s.signs)

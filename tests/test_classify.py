@@ -162,7 +162,7 @@ def test_catalog_rank3():
 
 
 def test_catalog_rank5():
-    # about 5 s: the whole rank-5 catalog, its JSON bytes pinned, each
+    # about 2 s: the whole rank-5 catalog, its JSON bytes pinned, each
     # representative checked with its witness rotation by the
     # polygon-gluing oracle
     cat = cf.catalog(5)
@@ -408,3 +408,64 @@ def test_component_coset_closed_forms(rank4_graphs):
                 if c % 2:
                     assert (0,) * sub.n_edges not in realizable, sub
     assert {1, 2, 3, 4} <= ranks
+
+
+# --- witnesses by flip transport, against the walks they replace ---
+
+def test_lexmin_xor_matches_brute_force():
+    rng = random.Random(29)
+    for width in range(1, 9):
+        universe = range(1 << width)
+        for size in {1, min(3, 1 << width), 1 << (width - 1), 1 << width}:
+            for _ in range(20):
+                rs = sorted(rng.sample(universe, size))
+                for m in universe:
+                    assert cf._lexmin_xor(rs, m) == min(r ^ m for r in rs)
+
+
+def _strip_rotation_indices(sub, signs):
+    """Every rotation of sub traced, no half walk, no flip argument."""
+    return [i for i, rotation in enumerate(cf._rotations(sub))
+            if sch.boundary_trace(sch.Scheme(sub, rotation, signs)).b == 1]
+
+
+def test_strip_rotation_sets_are_mirror_closed_and_move_with_flips():
+    checked = 0
+    for q in (2, 3):
+        for g in cf.generate_cubic_graphs(q):
+            for comp in mg.bridges_and_components(g).components:
+                sub = mg._restrict(g, comp.vertices, comp.edges)[0]
+                option = cf._option_bits(sub)
+                full = sum(option)
+                _tree, free = mg._spanning_tree(sub)
+                for bits in itertools.product((0, 1), repeat=len(free)):
+                    rep = [0] * sub.n_edges
+                    for e, x in zip(free, bits):
+                        rep[e] = x
+                    rs = _strip_rotation_indices(sub, rep)
+                    assert sorted(r ^ full for r in rs) == rs
+                    got = cf._strip_rotation_sets(sub, [tuple(rep)], option)
+                    assert got == ([(tuple(rep), rs)] if rs else [])
+                    for v, cut in enumerate(_cut_toggles(sub)):
+                        moved = [x ^ c for x, c in zip(rep, cut)]
+                        assert _strip_rotation_indices(sub, moved) == \
+                            sorted(r ^ option[v] for r in rs)
+                    checked += 1
+    assert checked == 42
+
+
+def test_transported_witnesses_match_the_whole_graph_walk(rank4_graphs):
+    rank5 = random.Random(5).sample(cf.generate_cubic_graphs(5), 10)
+    for g in list(rank4_graphs) + rank5:
+        realizable, index = cf._realizable(g, 1, cf.DEFAULT_BUDGET)
+        assert index is not None
+        walked = cf._strip_witnesses(g, realizable)
+        assert {lam: w for c in cf.equivalence_classes(g)
+                for lam, w in zip(c.members, c.witnesses)} == walked, g
+
+
+def test_equivalence_classes_are_the_same_with_threads():
+    for g in cf.generate_cubic_graphs(3):
+        base = cf.equivalence_classes(g)
+        for threads in (2, 3):
+            assert cf.equivalence_classes(g, threads=threads) == base

@@ -146,6 +146,11 @@ def test_expand_single_vertex(wedge_file, capsys):
     assert out.count("vertex") >= 4
 
 
+def test_expand_of_a_missing_vertex_exits_2(wedge_file, capsys):
+    assert cli.main(["expand", "--input", wedge_file, "--vertex", "99"]) == 2
+    assert capsys.readouterr().err == "clstruct: error: no vertex 99\n"
+
+
 def test_render_text(theta_file, capsys):
     assert cli.main(["render", "--input", theta_file]) == 0
     out = capsys.readouterr().out

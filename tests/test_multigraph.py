@@ -8,6 +8,7 @@ from clstruct import classify, cli
 from clstruct import multigraph as mg
 from clstruct.errors import (Disconnected, EndpointOutOfRange, ParseError,
                              TooLarge)
+from helpers import fundamental_cycle_basis
 
 
 def theta():
@@ -141,11 +142,11 @@ def test_bridges_components_and_tree_against_networkx():
 
 
 def test_fundamental_cycle_basis():
-    basis = mg.fundamental_cycle_basis(theta())
+    basis = fundamental_cycle_basis(theta())
     assert len(basis) == 2
     for cyc in basis:
         assert len(cyc) == 2
-    basis = mg.fundamental_cycle_basis(dumbbell())
+    basis = fundamental_cycle_basis(dumbbell())
     assert sorted(map(sorted, basis)) == [[0], [2]]
 
 

@@ -10,7 +10,8 @@ from clstruct import reduce as rd
 from clstruct import scheme as sch
 from clstruct.cli import random_scheme, roundtrip_once
 from clstruct.errors import (ClstructError, DegreeTooSmall, LoopContraction,
-                             NotCyclicPart, SwitchedContraction)
+                             NoSuchVertex, NotCyclicPart, SwitchedContraction,
+                             UnknownTreeShape)
 
 
 def wedge_scheme(rotation, signs):
@@ -114,8 +115,14 @@ def test_expand_nested_wedge_gives_dumbbell_shape():
 def test_expand_rejects_low_degree_and_bad_shape():
     with pytest.raises(DegreeTooSmall):
         rd.expand_vertex(theta_scheme([0, 0, 0]), 0)
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(UnknownTreeShape):
         rd.expand_vertex(wedge_scheme((0, 2, 1, 3), [0, 0]), 0, "spiral")
+
+
+@pytest.mark.parametrize("v", [-1, 1])
+def test_expand_rejects_vertex_ids_out_of_range(v):
+    with pytest.raises(NoSuchVertex, match=f"no vertex {v}"):
+        rd.expand_vertex(wedge_scheme((0, 2, 1, 3), [0, 0]), v)
 
 
 def test_expand_keeps_old_edge_ids_and_appends():

@@ -8,7 +8,9 @@ from clstruct import classify as cf
 from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
-from clstruct.errors import BadRotation, MissingSign, NotCyclicPart, ParseError
+from clstruct.errors import (BadRotation, MissingSign, NoSuchVertex,
+                             NotCyclicPart, ParseError)
+from helpers import fundamental_cycle_basis
 
 
 def loop_scheme(sign):
@@ -286,6 +288,12 @@ def test_vertex_flip_reverses_rotation_and_toggles_signs():
     assert sch.vertex_flip(f, 0) == s  # involution
 
 
+@pytest.mark.parametrize("v", [-1, 2])
+def test_vertex_flip_rejects_vertex_ids_out_of_range(v):
+    with pytest.raises(NoSuchVertex, match=f"no vertex {v}"):
+        sch.vertex_flip(theta_scheme([0, 0, 0]), v)
+
+
 def test_vertex_flip_preserves_boundary_and_orientability():
     for signs in itertools.product((0, 1), repeat=3):
         s = theta_scheme(list(signs))
@@ -310,7 +318,7 @@ def test_orientability_from_cycle_signs():
 def cycle_parity_orientable(s):
     """The fundamental-cycle test: every basis cycle has even sign sum."""
     return all(sum(s.signs[e] for e in cyc) % 2 == 0
-               for cyc in mg.fundamental_cycle_basis(s.graph))
+               for cyc in fundamental_cycle_basis(s.graph))
 
 
 def test_orientability_matches_cycle_parity():
