@@ -1,7 +1,8 @@
 """Exhaustive search: cubic graphs, realizable signs, structure classes.
 
 The cubic graphs of rank q come from those of rank q-1 by edge
-insertion (``generate_cubic_graphs``), deduplicated by canonical form.
+insertion (``generate_cubic_graphs``), one insertion per automorphism
+orbit, deduplicated by canonical form.
 
 The searchable objects are schemes (rotation system + signs).  A sign
 table is *realizable* on a graph when some rotation turns it into a
@@ -138,12 +139,14 @@ def generate_cubic_graphs(q: int) -> tuple:
     Capped at MAX_Q.
 
     Built by edge insertion from rank 2 up, as in McKay's isomorph-free
-    generation but without its orbit pruning.  Rank 2 holds the dumbbell
-    and the theta graph.  Each child of a rank-(q-1) graph H adds two
+    generation (J. Algorithms 26, 1998).  Rank 2 holds the dumbbell and
+    the theta graph.  Each child of a rank-(q-1) graph H adds two
     vertices by one of two moves: subdivide two edges of H (possibly the
     same edge twice) and join the two new vertices, or subdivide one
-    edge of H and hang a new vertex carrying a loop on it.  The children
-    are deduplicated by ``canonical_form``.
+    edge of H and hang a new vertex carrying a loop on it.  Only one
+    move per orbit of the automorphism group of H is made
+    (``_edge_insertions``), and the children are deduplicated by
+    ``canonical_form``.
 
     Every graph G of rank q >= 3 is a child of some graph of rank q-1.
     If G has a loop, remove its vertex with the loop and suppress the
@@ -169,19 +172,34 @@ def generate_cubic_graphs(q: int) -> tuple:
 
 
 def _edge_insertions(n: int, edges: tuple):
-    """Edge lists of every child of the cubic graph (n, edges) under the
-    two insertion moves; the new vertices are a = n and b = n + 1."""
+    """Edge lists of the children of the cubic graph (n, edges), one per
+    orbit of its automorphism group on the insertion moves; the new
+    vertices are a = n and b = n + 1.
+
+    An automorphism of the graph maps a move on edge i, or on the edge
+    pair {i, j}, to the same move on the image edges, and the two
+    children are isomorphic.  So a move on edge i (the loop move, or a
+    and b both on i) is kept only when no edge permutation of
+    ``mg.automorphisms`` takes i below i, and a move on edges i < j
+    only when none takes {i, j} to a lexicographically smaller pair:
+    the least move of each orbit.
+    """
+    eperms = {ep for (_vp, ep) in mg.automorphisms(Multigraph(n, edges))}
     a, b = n, n + 1
     for i, (u, v) in enumerate(edges):
         rest = edges[:i] + edges[i + 1:]
-        # a on edge i, b hung from a with a loop
-        yield rest + ((u, a), (a, v), (a, b), (b, b))
-        # a and b both on edge i, joined by a second edge
-        yield rest + ((u, a), (a, b), (b, v), (a, b))
-        # a on edge i, b on a later edge, joined
-        for j in range(i, len(rest)):
-            x, y = rest[j]
-            yield rest[:j] + rest[j + 1:] + ((u, a), (a, v), (x, b),
+        if all(ep[i] >= i for ep in eperms):
+            # a on edge i, b hung from a with a loop
+            yield rest + ((u, a), (a, v), (a, b), (b, b))
+            # a and b both on edge i, joined by a second edge
+            yield rest + ((u, a), (a, b), (b, v), (a, b))
+        # a on edge i, b on a later edge j, joined
+        for j in range(i + 1, len(edges)):
+            if any((min(ep[i], ep[j]), max(ep[i], ep[j])) < (i, j)
+                   for ep in eperms):
+                continue
+            x, y = edges[j]
+            yield rest[:j - 1] + rest[j:] + ((u, a), (a, v), (x, b),
                                              (b, y), (a, b))
 
 
@@ -202,9 +220,9 @@ def realizable_signs(g: Multigraph, threads: int = 1,
 
 
 def _realizable(g: Multigraph, threads: int, budget: int | None):
-    """The sorted tuple of ``realizable_signs`` and, when no vertex of g
-    has degree above 3, the ``_rotations`` index of each table's
-    witness (else None).
+    """The sorted tuple of ``realizable_signs``; when no vertex of g has
+    degree above 3, the ``_rotations`` index of each table's witness
+    (else None); and ``mg.bridges_and_components(g)``.
 
     On such a graph a vertex in two 2-connected components would need
     four darts, so the components share no vertex; and the option of a
@@ -234,7 +252,7 @@ def _realizable(g: Multigraph, threads: int, budget: int | None):
     # a leading 1 keeps the leading zeros, and gives () when E = 0
     tables = tuple(tuple(map(int, f"{(1 << E) | t:b}"[1:]))
                    for t, _i in found)
-    return tables, [i for _t, i in found] if transport else None
+    return tables, [i for _t, i in found] if transport else None, decomp
 
 
 def _component_realizable(g: Multigraph, comp: mg.Component, threads: int,
@@ -403,8 +421,7 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     rotation-outer walk over the whole graph finds them for every
     realizable table at once.
     """
-    realizable, index = _realizable(g, threads, budget)
-    decomp = mg.bridges_and_components(g)
+    realizable, index, decomp = _realizable(g, threads, budget)
     eperms = {ep for (_vp, ep) in mg.automorphisms(g)}
     E = g.n_edges
     kept = (1 << E) - 1

@@ -457,7 +457,8 @@ def test_strip_rotation_sets_are_mirror_closed_and_move_with_flips():
 def test_transported_witnesses_match_the_whole_graph_walk(rank4_graphs):
     rank5 = random.Random(5).sample(cf.generate_cubic_graphs(5), 10)
     for g in list(rank4_graphs) + rank5:
-        realizable, index = cf._realizable(g, 1, cf.DEFAULT_BUDGET)
+        realizable, index, _decomp = cf._realizable(g, 1,
+                                                    cf.DEFAULT_BUDGET)
         assert index is not None
         walked = cf._strip_witnesses(g, realizable)
         assert {lam: w for c in cf.equivalence_classes(g)

@@ -386,6 +386,65 @@ def test_rank_5_graphs_pairwise_non_isomorphic_by_networkx(census):
         assert not nx.is_isomorphic(a, b)
 
 
+# --- orbit pruning against the unpruned insertion walk ---
+
+def _unpruned_insertions(n, edges):
+    """Edge lists of every child of the cubic graph (n, edges) under the
+    two insertion moves, on every edge and every edge pair, with no
+    orbit pruning; the new vertices are a = n and b = n + 1."""
+    a, b = n, n + 1
+    for i, (u, v) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1:]
+        yield rest + ((u, a), (a, v), (a, b), (b, b))
+        yield rest + ((u, a), (a, b), (b, v), (a, b))
+        for j in range(i, len(rest)):
+            x, y = rest[j]
+            yield rest[:j] + rest[j + 1:] + ((u, a), (a, v), (x, b),
+                                             (b, y), (a, b))
+
+
+def _unpruned_census(q):
+    """generate_cubic_graphs(q) by the unpruned insertion walk."""
+    seen = {mg.canonical_form(mg.build(2, [(0, 0), (0, 1), (1, 1)])),
+            mg.canonical_form(mg.build(2, [(0, 1)] * 3))}
+    for _rank in range(3, q + 1):
+        seen = {mg.canonical_form(mg.Multigraph(n + 2, child))
+                for n, edges in seen
+                for child in _unpruned_insertions(n, edges)}
+    return tuple(mg.build(n, es) for (n, es) in sorted(seen))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_orbit_pruned_insertion_matches_the_unpruned_walk(q, census):
+    assert census[q] == _unpruned_census(q)
+
+
+@pytest.mark.parametrize("q, most", [(4, 60), (5, 398)])
+def test_orbit_pruning_bounds_canonical_form_calls(q, most, monkeypatch):
+    # the unpruned walk makes 155 calls at q = 4 and 1,073 at q = 5
+    calls = []
+    form = mg.canonical_form
+
+    def counting(g):
+        calls.append(g)
+        return form(g)
+
+    monkeypatch.setattr(mg, "canonical_form", counting)
+    classify.generate_cubic_graphs(q)
+    assert len(calls) <= most
+
+
+def test_rank_6_census_past_the_cap(monkeypatch):
+    monkeypatch.setattr(classify, "MAX_Q", 6)
+    graphs = classify.generate_cubic_graphs(6)
+    # OEIS A005967
+    assert len(graphs) == 388
+    for g in graphs:
+        assert g.degrees() == (3,) * 10, g
+        assert mg._connected(g), g
+        assert mg.cycle_rank(g) == 6, g
+
+
 def _without_vertex(n, edges, x):
     """Delete x and its edges; the vertices above x move down by one."""
     return n - 1, [(u - (u > x), v - (v > x)) for (u, v) in edges
