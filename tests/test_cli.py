@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -35,6 +36,28 @@ rotation 0 0.0 1.0 2.0 0.1 1.1 2.1
 sign 0 1
 sign 1 1
 sign 2 1
+"""
+
+# graph-only files with no cubic vertex: their witnesses come from the
+# rotation walk over the whole graph.  hub has a two-loop component at
+# each end of a bridge, so both vertices have degree 5.
+HUB = """\
+graph hub
+vertex 0
+vertex 1
+edge 0 0 0
+edge 1 0 0
+edge 2 0 1
+edge 3 1 1
+edge 4 1 1
+"""
+
+WEDGE3_GRAPH = """\
+graph wedge3
+vertex 0
+edge 0 0 0
+edge 1 0 0
+edge 2 0 0
 """
 
 
@@ -369,6 +392,20 @@ def test_plain_names_render_unchanged(theta_file, capsys):
 def test_structures_rejects_bad_counts(argv, capsys):
     assert cli.main(["structures", "--q", "2"] + argv) == 1
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, digest", [
+    (HUB, "342685ac47fe4f1695185eb77f4ae51eb7c84ea1ff256fd10f5269c466ab8de4"),
+    (WEDGE3_GRAPH,
+     "518baa3681d7591abb5857e56b549b4099b7c8d0d98daf09be535116a810058d"),
+])
+def test_non_cubic_structures_json_is_pinned(tmp_path, capsys, text, digest):
+    p = tmp_path / "graph.txt"
+    p.write_text(text)
+    assert cli.main(["structures", "--input", str(p), "--format",
+                     "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_structures_accepts_zero_budget(capsys):
