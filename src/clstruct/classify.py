@@ -35,7 +35,8 @@ equivalences on generalized embedding schemes, J. Graph Theory 2,
 1978).  The components share no vertex there, so the whole-graph
 witness puts the component witnesses together.  A graph with a vertex
 of higher degree gets its witnesses from one more rotation-outer walk,
-on the whole graph.
+on the whole graph.  The budget bounds each of these walks
+(``_check_walk``).
 """
 from __future__ import annotations
 
@@ -112,12 +113,18 @@ def _option_bits(g: Multigraph) -> list:
     return bits
 
 
-def enumerate_schemes(g: Multigraph, budget: int | None = DEFAULT_BUDGET):
-    """Yield every scheme on g exactly once (rotations x sign tables)."""
+def _check_walk(g: Multigraph, budget: int | None, what: str) -> None:
+    """Raise BudgetExceeded when g has more schemes than ``budget``;
+    every rotation walk over g's sign tables checks here first."""
     total = scheme_count(g)
     if budget is not None and total > budget:
         raise BudgetExceeded(
-            f"{total} schemes on this graph exceed the budget {budget}")
+            f"{total} schemes on {what} exceed the budget {budget}")
+
+
+def enumerate_schemes(g: Multigraph, budget: int | None = DEFAULT_BUDGET):
+    """Yield every scheme on g exactly once (rotations x sign tables)."""
+    _check_walk(g, budget, "this graph")
     for rotation in _rotations(g):
         for signs in itertools.product((0, 1), repeat=g.n_edges):
             yield Scheme(g, rotation, signs)
@@ -130,6 +137,12 @@ def _pack_signs(signs) -> int:
     for bit in signs:
         x = 2 * x + bit
     return x
+
+
+def _unpack_signs(x: int, n_edges: int) -> tuple:
+    """The n_edges signs that ``_pack_signs`` packs to x (a leading 1
+    keeps the leading zeros, and gives () when n_edges = 0)."""
+    return tuple(map(int, f"{(1 << n_edges) | x:b}"[1:]))
 
 
 def generate_cubic_graphs(q: int) -> tuple:
@@ -216,13 +229,15 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     whole coset of vertex-flip toggles.  ``threads`` splits the
     representatives over a thread pool.  Returns a sorted tuple.
     """
-    return _realizable(g, threads, budget)[0]
+    found, _decomp = _realizable(g, threads, budget)
+    return tuple(_unpack_signs(t, g.n_edges) for t, _i in found)
 
 
 def _realizable(g: Multigraph, threads: int, budget: int | None):
-    """The sorted tuple of ``realizable_signs``; when no vertex of g has
-    degree above 3, the ``_rotations`` index of each table's witness
-    (else None); and ``mg.bridges_and_components(g)``.
+    """The realizable tables of g as a sorted list of pairs: the table
+    packed by ``_pack_signs``, and when no vertex of g has degree above
+    3 the ``_rotations`` index of its witness (else None).  Also returns
+    ``mg.bridges_and_components(g)``.
 
     On such a graph a vertex in two 2-connected components would need
     four darts, so the components share no vertex; and the option of a
@@ -249,10 +264,7 @@ def _realizable(g: Multigraph, threads: int, budget: int | None):
         index = sum(w for _t, w in picks) if transport else None
         found += [(table | x, index) for x in bridge_values]
     found.sort()
-    # a leading 1 keeps the leading zeros, and gives () when E = 0
-    tables = tuple(tuple(map(int, f"{(1 << E) | t:b}"[1:]))
-                   for t, _i in found)
-    return tables, [i for _t, i in found] if transport else None, decomp
+    return found, decomp
 
 
 def _component_realizable(g: Multigraph, comp: mg.Component, threads: int,
@@ -272,17 +284,14 @@ def _component_realizable(g: Multigraph, comp: mg.Component, threads: int,
     walk ends once every representative has a strip rotation, and the
     witness is None.
     """
-    sub = mg._restrict(g, comp.vertices, comp.edges)[0]
-    total = scheme_count(sub)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(
-            f"{total} schemes on a component exceed the budget {budget}")
+    sub, vmap, emap = mg._restrict(g, comp.vertices, comp.edges)
+    _check_walk(sub, budget, "a component")
     # the bit of each component edge in a table of g, and the weight of
     # each component vertex's option in a rotation index of g
-    edge_bit = [1 << (g.n_edges - 1 - e) for e in sorted(comp.edges)]
+    edge_bit = [1 << (g.n_edges - 1 - e) for e in emap]
     weight = _option_bits(g)
     option = [weight[v] if d == 3 else 0
-              for v, d in zip(sorted(comp.vertices), sub.degrees())]
+              for v, d in zip(vmap, sub.degrees())]
     _tree, free = mg._spanning_tree(sub)
     reps = []
     for bits in itertools.product((0, 1), repeat=len(free)):
@@ -410,20 +419,31 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     bridge coordinates.  Classes come sorted by representative
     (lexicographically least member).
 
-    A table's normal form packs it into an int, edge 0 in the top bit,
-    clears the bridges and complements each component whose smallest
-    edge is 1 (complementing a component flips only its own bits).  The
-    classes are the orbits of the automorphisms on normal forms, each
-    computed once.  ``witnesses[i]`` is the first rotation, in
-    ``_rotations`` order, that makes ``members[i]`` a strip.  When no
-    vertex has degree above 3 the realizability search hands over its
-    index, found per component by flip transport; otherwise one
-    rotation-outer walk over the whole graph finds them for every
-    realizable table at once.
+    A table's normal form takes it packed (``_pack_signs``), clears the
+    bridges and complements each component whose smallest edge is 1
+    (complementing a component flips only its own bits).  The classes
+    are the orbits of the automorphisms on normal forms, each computed
+    once.  ``witnesses[i]`` is the first rotation, in ``_rotations``
+    order, that makes ``members[i]`` a strip.  When no vertex has degree
+    above 3 the realizability search hands over its index, found per
+    component by flip transport; otherwise one rotation-outer walk over
+    the whole graph, within the budget, finds them for every realizable
+    table at once.
     """
-    realizable, index, decomp = _realizable(g, threads, budget)
-    eperms = {ep for (_vp, ep) in mg.automorphisms(g)}
+    found, decomp = _realizable(g, threads, budget)
     E = g.n_edges
+    tables = [_unpack_signs(t, E) for t, _i in found]
+    if found and found[0][1] is None:
+        # a vertex of degree above 3: no index to hand over
+        _check_walk(g, budget, "this graph")
+        walked = _strip_witnesses(g, tables)
+        witness = [walked[lam] for lam in tables]
+    else:
+        options = _vertex_options(g)
+        rotation = {i: _rotation_at(options, i)
+                    for i in {i for _t, i in found}}
+        witness = [rotation[i] for _t, i in found]
+    eperms = {ep for (_vp, ep) in mg.automorphisms(g)}
     kept = (1 << E) - 1
     for e in decomp.bridges:
         kept ^= 1 << (E - 1 - e)
@@ -431,14 +451,12 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     comp_bits = [(1 << (E - 1 - min(c.edges)),
                   sum(1 << (E - 1 - e) for e in c.edges))
                  for c in decomp.components]
-
-    # the point graph has no edge to permute and packs as ""
+    # the point graph has no edge to permute
     permuters = [itemgetter(*ep) for ep in eperms if ep]
 
-    def normal(text):
-        """The table packed into an int, edge 0 in the top bit, with
-        bridges cleared and each component's smallest edge made 0."""
-        x = int(text or "0", 2) & kept
+    def normal(x):
+        """x with bridges cleared, each component's least edge made 0."""
+        x &= kept
         for top, bits in comp_bits:
             if x & top:
                 x ^= bits
@@ -448,33 +466,22 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     # orbit is listed once, when its first table comes up.
     class_of = {}
     grouped = {}
-    for lam in realizable:
-        text = "".join(map(str, lam))
-        x = normal(text)
+    for (t, _i), lam, w in zip(found, tables, witness):
+        x = normal(t)
         if x not in class_of:
             class_of[x] = x
+            text = f"{t:0{E}b}"
             for permute in permuters:
-                class_of[normal("".join(permute(text)))] = x
-        grouped.setdefault(class_of[x], []).append(lam)
+                class_of[normal(int("".join(permute(text)), 2))] = x
+        grouped.setdefault(class_of[x], []).append((lam, w))
 
-    if index is None:
-        witness = _strip_witnesses(g, realizable)
-    else:
-        options = _vertex_options(g)
-        rotation = {i: _rotation_at(options, i) for i in set(index)}
-        witness = {lam: rotation[i] for lam, i in zip(realizable, index)}
     classes = []
-    for key in grouped:
-        members = tuple(grouped[key])
-        witnesses = tuple(witness[lam] for lam in members)
+    for pairs in grouped.values():
+        members, witnesses = zip(*pairs)
         # the witness makes the representative a strip: b = 1, no trace
         rep_scheme = Scheme(g, witnesses[0], members[0])
-        classes.append(StructureClass(
-            graph=g,
-            representative=members[0],
-            members=members,
-            witnesses=witnesses,
-            surface=sch._surface(rep_scheme, 1)))
+        classes.append(StructureClass(g, members[0], members, witnesses,
+                                      sch._surface(rep_scheme, 1)))
     classes.sort(key=lambda c: c.representative)
     return tuple(classes)
 

@@ -23,14 +23,7 @@ from . import classify
 from . import multigraph as mg
 from . import reduce as rd
 from . import scheme as sch
-from .errors import (BadRotation, BudgetExceeded, DegreeTooSmall,
-                     Disconnected, EndpointOutOfRange, LoopContraction,
-                     MissingSign, NoSuchVertex, NotCyclicPart, ParseError,
-                     SwitchedContraction, TooLarge)
-
-_INPUT_ERRORS = (ParseError, Disconnected, EndpointOutOfRange, BadRotation,
-                 MissingSign, NotCyclicPart, LoopContraction,
-                 SwitchedContraction, DegreeTooSmall, NoSuchVertex, OSError)
+from .errors import BudgetExceeded, ClstructError, ParseError, TooLarge
 
 
 def _int_at_least(low):
@@ -123,12 +116,12 @@ def main(argv=None) -> int:
         # closed pipe at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except _INPUT_ERRORS as exc:
-        print(f"clstruct: error: {exc}", file=sys.stderr)
-        return 2
     except (BudgetExceeded, TooLarge) as exc:
         print(f"clstruct: error: {exc}", file=sys.stderr)
         return 3
+    except (ClstructError, OSError) as exc:
+        print(f"clstruct: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:
@@ -636,7 +629,7 @@ def suite_rank4_spot_checks(seed=0):
     return None
 
 
-def run_verify(level="default", seed=0, out=print) -> int:
+def run_verify(level="default", seed=0) -> int:
     """Run the invariant suites; returns a process exit code (0 or 4).
 
     The suites that walk every scheme share one boundary table per
@@ -669,11 +662,11 @@ def run_verify(level="default", seed=0, out=print) -> int:
     for name, fn in suites:
         detail = fn()
         if detail is None:
-            out(f"PASS {name}")
+            print(f"PASS {name}")
         else:
             failures += 1
-            out(f"FAIL {name}: {detail}")
-    out(f"{len(suites) - failures}/{len(suites)} suites passed")
+            print(f"FAIL {name}: {detail}")
+    print(f"{len(suites) - failures}/{len(suites)} suites passed")
     return 0 if failures == 0 else 4
 
 

@@ -106,11 +106,14 @@ def _connected(g: Multigraph, skip: int = -1) -> bool:
 def _restrict(g: Multigraph, vertices, edges):
     """The subgraph on the given vertices and edges, both reindexed
     densely in increasing old-id order; returns (graph, vertex_map,
-    edge_map), the maps sending old ids to new ones."""
+    edge_map), the maps sending old ids to new ones.  The pieces must
+    make a connected graph (a component, a cyclic part): not checked.
+    """
     vmap = {v: i for i, v in enumerate(sorted(vertices))}
     emap = {e: i for i, e in enumerate(sorted(edges))}
-    sub = build(len(vmap), [(vmap[g.edges[e][0]], vmap[g.edges[e][1]])
-                            for e in emap])
+    ends = g.edges
+    sub = Multigraph(len(vmap), tuple([(vmap[ends[e][0]], vmap[ends[e][1]])
+                                       for e in emap]))
     return sub, vmap, emap
 
 

@@ -396,27 +396,22 @@ def _surface(s: Scheme, b: int) -> SurfaceType:
 def component_subscheme(s: Scheme, component: mg.Component) -> Scheme:
     """Restrict a scheme to one 2-connected component.
 
-    Vertices and edges are reindexed densely in increasing old-id
-    order; each rotation keeps only the darts of surviving edges, in
-    the same cyclic order.
+    The graph is ``mg._restrict`` of the component, vertices and edges
+    reindexed densely in increasing old-id order; each rotation keeps
+    only the darts of surviving edges, in the same cyclic order.
 
     ``s`` must be a valid scheme with anchored rotations, as
     ``make_scheme`` returns, and ``component`` one of
     ``mg.bridges_and_components(s.graph).components``; the result is
     then a valid scheme too, and is built without validating it again.
     """
-    vmap = {v: i for i, v in enumerate(sorted(component.vertices))}
-    emap = {e: i for i, e in enumerate(sorted(component.edges))}
-    ends = s.graph.edges
-    edges = tuple([(vmap[ends[e][0]], vmap[ends[e][1]]) for e in emap])
+    sub, vmap, emap = mg._restrict(s.graph, component.vertices,
+                                   component.edges)
     # dropping darts can drop a rotation's smallest one: anchor again
     rotation = tuple(_anchor([2 * emap[h >> 1] + (h & 1)
                               for h in s.rotation[v] if (h >> 1) in emap])
                      for v in vmap)
-    # a 2-connected component is connected and its edges touch exactly
-    # its vertices
-    return Scheme(mg.Multigraph(len(vmap), edges), rotation,
-                  tuple([s.signs[e] for e in emap]))
+    return Scheme(sub, rotation, tuple([s.signs[e] for e in emap]))
 
 
 # --- text format ---

@@ -227,6 +227,16 @@ def test_catalog_budget():
         cf.catalog(3, budget=10)
 
 
+def test_budget_bounds_the_whole_graph_witness_walk():
+    # a bridge between two two-loop components: 4!^2 * 2^5 = 18,432
+    # schemes on the graph, 3! * 2^2 = 24 on each component
+    g = mg.build(2, [(0, 0), (0, 0), (0, 1), (1, 1), (1, 1)])
+    assert cf.realizable_signs(g, budget=100) == cf.realizable_signs(g)
+    with pytest.raises(BudgetExceeded):
+        cf.equivalence_classes(g, budget=100)
+    assert len(cf.equivalence_classes(g)) == 3
+
+
 # --- the per-table search, kept as a test-only oracle ---
 #
 # Before the coset search, every sign table of a component was tried
@@ -457,10 +467,10 @@ def test_strip_rotation_sets_are_mirror_closed_and_move_with_flips():
 def test_transported_witnesses_match_the_whole_graph_walk(rank4_graphs):
     rank5 = random.Random(5).sample(cf.generate_cubic_graphs(5), 10)
     for g in list(rank4_graphs) + rank5:
-        realizable, index, _decomp = cf._realizable(g, 1,
-                                                    cf.DEFAULT_BUDGET)
-        assert index is not None
-        walked = cf._strip_witnesses(g, realizable)
+        found, _decomp = cf._realizable(g, 1, cf.DEFAULT_BUDGET)
+        assert None not in [i for _t, i in found]
+        walked = cf._strip_witnesses(
+            g, [cf._unpack_signs(t, g.n_edges) for t, _i in found])
         assert {lam: w for c in cf.equivalence_classes(g)
                 for lam, w in zip(c.members, c.witnesses)} == walked, g
 

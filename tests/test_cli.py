@@ -11,6 +11,7 @@ import pytest
 from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
+from clstruct.errors import ClstructError
 
 THETA = """\
 graph theta
@@ -398,7 +399,7 @@ def test_structures_rejects_bad_counts(argv, capsys):
     (HUB, "342685ac47fe4f1695185eb77f4ae51eb7c84ea1ff256fd10f5269c466ab8de4"),
     (WEDGE3_GRAPH,
      "518baa3681d7591abb5857e56b549b4099b7c8d0d98daf09be535116a810058d"),
-])
+], ids=["hub", "wedge3"])
 def test_non_cubic_structures_json_is_pinned(tmp_path, capsys, text, digest):
     p = tmp_path / "graph.txt"
     p.write_text(text)
@@ -406,6 +407,25 @@ def test_non_cubic_structures_json_is_pinned(tmp_path, capsys, text, digest):
                      "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_non_cubic_witness_walk_is_budgeted(tmp_path, capsys):
+    p = tmp_path / "hub.txt"
+    p.write_text(HUB)
+    assert cli.main(["structures", "--input", str(p), "--budget",
+                     "100"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("clstruct: error: ")
+
+
+def test_any_package_error_exits_2(monkeypatch, capsys):
+    def fail(args):
+        raise ClstructError("no such thing")
+    monkeypatch.setattr(cli, "_cmd_graphs", fail)
+    assert cli.main(["graphs", "--q", "2"]) == 2
+    assert capsys.readouterr().err == "clstruct: error: no such thing\n"
 
 
 def test_structures_accepts_zero_budget(capsys):
