@@ -25,25 +25,19 @@ coset holds 2^(V-1) tables.  Per 2-connected component the 2^q tables
 that are 0 on a spanning tree represent the cosets; one walk over the
 rotations tests every representative still unrealized with a
 single-orbit strip test, and each realizable one contributes its whole
-coset.  Each realizable table gets as witness the first rotation, in
-enumeration order, that makes it a strip.  When no vertex has degree
-above 3, a vertex has at most two options, and the witnesses come from
-that same walk, made exhaustive over half the rotations: it records
-every strip rotation of each representative, and a flip transports
-them to the rest of the coset by toggling option bits (Stahl's
-equivalences on generalized embedding schemes, J. Graph Theory 2,
-1978).  The components share no vertex there, so the whole-graph
-witness puts the component witnesses together.  A graph with a vertex
-of higher degree gets its witnesses from one more rotation-outer walk,
-on the whole graph.  The budget bounds each of these walks
-(``_check_walk``).
+coset.  Each class gets as witness the first rotation of the graph, in
+enumeration order, that makes its representative a strip.  The
+components share no vertex, so that rotation is found per component:
+one more walk over the component's rotations, for the distinct
+restrictions of the class representatives, then lifted into the graph
+a vertex at a time.  Every walk runs on a component, and the budget
+bounds each of them (``_check_walk``).
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
@@ -88,29 +82,6 @@ def _vertex_options(g: Multigraph) -> list:
 def _rotations(g: Multigraph):
     """All anchored rotation systems, in deterministic order."""
     return itertools.product(*_vertex_options(g))
-
-
-def _rotation_at(options, index: int) -> tuple:
-    """The rotation at position ``index`` of
-    ``itertools.product(*options)``, vertex 0 the most significant."""
-    picks = []
-    for opts in reversed(options):
-        index, k = divmod(index, len(opts))
-        picks.append(opts[k])
-    return tuple(reversed(picks))
-
-
-def _option_bits(g: Multigraph) -> list:
-    """Per vertex, the weight of its option in a ``_rotations`` index
-    when no vertex has degree above 3: a cubic vertex has two options
-    and takes one bit, the first cubic vertex the top one; every other
-    vertex has one option and weight 0."""
-    bits, bit = [0] * g.n_vertices, 1
-    degrees = g.degrees()
-    for v in reversed(range(g.n_vertices)):
-        if degrees[v] == 3:
-            bits[v], bit = bit, bit << 1
-    return bits
 
 
 def _check_walk(g: Multigraph, budget: int | None, what: str) -> None:
@@ -230,68 +201,39 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     representatives over a thread pool.  Returns a sorted tuple.
     """
     found, _decomp = _realizable(g, threads, budget)
-    return tuple(_unpack_signs(t, g.n_edges) for t, _i in found)
+    return tuple(_unpack_signs(t, g.n_edges) for t in found)
 
 
 def _realizable(g: Multigraph, threads: int, budget: int | None):
-    """The realizable tables of g as a sorted list of pairs: the table
-    packed by ``_pack_signs``, and when no vertex of g has degree above
-    3 the ``_rotations`` index of its witness (else None).  Also returns
-    ``mg.bridges_and_components(g)``.
-
-    On such a graph a vertex in two 2-connected components would need
-    four darts, so the components share no vertex; and the option of a
-    vertex outside a component's cubic vertices changes no component
-    subscheme.  So the strip rotations of a table are the product of
-    those of its component tables, with every other option free, and
-    the first of them takes each component's witness options and option
-    0 at every other vertex: the lexmin of a product over disjoint
-    coordinates is the product of the lexmins.
-    """
+    """The realizable tables of g packed by ``_pack_signs``, as a sorted
+    list, and ``mg.bridges_and_components(g)``."""
     if not mg.is_cyclic_part(g):
         raise NotCyclicPart("realizable_signs needs the cyclic part")
-    transport = max(g.degrees()) <= 3
     E = g.n_edges
     decomp = mg.bridges_and_components(g)
-    choices = [_component_realizable(g, comp, threads, budget, transport)
+    choices = [_component_realizable(g, comp, threads, budget)
                for comp in decomp.components]
     bridge_values = [0]
     for e in decomp.bridges:
         bridge_values += [x | 1 << (E - 1 - e) for x in bridge_values]
     found = []
     for picks in itertools.product(*choices):
-        table = sum(t for t, _w in picks)
-        index = sum(w for _t, w in picks) if transport else None
-        found += [(table | x, index) for x in bridge_values]
+        table = sum(picks)
+        found += [table | x for x in bridge_values]
     found.sort()
     return found, decomp
 
 
 def _component_realizable(g: Multigraph, comp: mg.Component, threads: int,
-                          budget: int | None, transport: bool) -> list:
+                          budget: int | None) -> list:
     """The realizable tables of g restricted to a 2-connected component,
-    as (table, witness) pairs of ints in the coordinates of g: tables
-    packed edge 0 in the top bit, 0 on every edge outside the component.
-
-    With ``transport`` (no vertex of degree above 3) the witness holds
-    the component's share of a ``_rotations(g)`` index, the options of
-    its cubic vertices in the first rotation that makes the table a
-    strip.  One walk records every strip rotation R_rep of each coset
-    representative, and a flip at v maps the strip rotations of a table
-    onto those of the table xor cut(v), toggling v's option bit.  So the
-    witness of rep xor cut(S) is min(r xor mask(S) for r in R_rep),
-    mask(S) the option bits of the cubic vertices in S.  Otherwise the
-    walk ends once every representative has a strip rotation, and the
-    witness is None.
-    """
-    sub, vmap, emap = mg._restrict(g, comp.vertices, comp.edges)
+    packed in the coordinates of g (edge 0 in the top bit, 0 on every
+    edge outside the component).  The walk over the component's
+    rotations ends once every coset representative has a strip
+    rotation."""
+    sub, _vmap, emap = mg._restrict(g, comp.vertices, comp.edges)
     _check_walk(sub, budget, "a component")
-    # the bit of each component edge in a table of g, and the weight of
-    # each component vertex's option in a rotation index of g
     edge_bit = [1 << (g.n_edges - 1 - e) for e in emap]
-    weight = _option_bits(g)
-    option = [weight[v] if d == 3 else 0
-              for v, d in zip(vmap, sub.degrees())]
     _tree, free = mg._spanning_tree(sub)
     reps = []
     for bits in itertools.product((0, 1), repeat=len(free)):
@@ -300,75 +242,26 @@ def _component_realizable(g: Multigraph, comp: mg.Component, threads: int,
             signs[e] = x
         reps.append(tuple(signs))
 
-    def scan(chunk):
-        if transport:
-            return _strip_rotation_sets(sub, chunk, option)
-        return [(rep, None) for rep in _strip_witnesses(sub, chunk)]
-
     if threads <= 1 or len(reps) < 2 * threads:
-        found = scan(reps)
+        found = _strip_witnesses(sub, reps)
     else:
         chunks = [reps[i::threads] for i in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            found = [x for part in pool.map(scan, chunks) for x in part]
+            found = [x for part in pool.map(_strip_witnesses,
+                                            [sub] * threads, chunks)
+                     for x in part]
 
-    # every table of a realizable coset: rep xor a sum of vertex cuts,
-    # each cut paired with the option bits of its vertices
-    span = [(0, 0)]
+    # every table of a realizable coset: rep xor a sum of vertex cuts
+    span = [0]
     for v in range(sub.n_vertices - 1):
         cut = sum(bit for bit, (a, b) in zip(edge_bit, sub.edges)
                   if (a == v) != (b == v))
-        span += [(x ^ cut, m ^ option[v]) for (x, m) in span]
+        span += [x ^ cut for x in span]
     out = []
-    for rep, rs in found:
+    for rep in found:
         table = sum(bit for bit, x in zip(edge_bit, rep) if x)
-        out += [(table ^ x, None if rs is None else _lexmin_xor(rs, m))
-                for x, m in span]
+        out += [table ^ x for x in span]
     return out
-
-
-def _strip_rotation_sets(sub: Multigraph, tables, option) -> list:
-    """(table, R) for every table some rotation makes a strip, R the
-    sorted indices of all such rotations, on a graph with no vertex of
-    degree above 3.  The index of a rotation of ``_rotations(sub)``
-    adds ``option[v]`` for every vertex v at its second option; the
-    weights of the cubic vertices must fall in vertex order, the rest
-    be 0.
-
-    Only the first half of the rotations is walked.  Flipping every
-    vertex reverses every rotation and leaves the signs alone, so it
-    keeps the boundary count and toggles every option bit: R is closed
-    under xor with all of them, and its second half mirrors the first.
-    """
-    index = [0]
-    for w in reversed(option):
-        if w:
-            index += [x + w for x in index]
-    full = index[-1]
-    found = [(signs, []) for signs in tables]
-    for i, rotation in zip(index[:(len(index) + 1) // 2], _rotations(sub)):
-        turn = sch._turn_table(sub.n_darts, rotation)
-        for signs, rs in found:
-            if sch._single_orbit_strip(turn, signs):
-                rs.append(i)
-    return [(signs, rs + [r ^ full for r in reversed(rs)] if full else rs)
-            for signs, rs in found if rs]
-
-
-def _lexmin_xor(rs: list, m: int) -> int:
-    """min(r ^ m for r in rs), for a sorted nonempty list rs of ints
-    >= 0: bit by bit from the top, keep the range of rs that shares the
-    best prefix so far, split by bisection."""
-    lo, hi, prefix = 0, len(rs), 0
-    for k in reversed(range(max(rs[-1], m).bit_length())):
-        bit = 1 << k
-        mid = bisect_left(rs, prefix | bit, lo, hi)
-        # take the half whose bit k matches m's, unless it is empty
-        if (m & bit and mid < hi) or lo == mid:
-            lo, prefix = mid, prefix | bit
-        else:
-            hi = mid
-    return rs[lo] ^ m
 
 
 def _strip_witnesses(g: Multigraph, tables) -> dict:
@@ -394,19 +287,79 @@ def _strip_witnesses(g: Multigraph, tables) -> dict:
     return witnesses
 
 
+def _witness_rotations(g: Multigraph, decomp: mg.Decomposition,
+                       tables) -> list:
+    """The first rotation, in ``_rotations(g)`` order, that makes each
+    of the realizable ``tables`` (sign tuples) a strip.
+
+    A scheme is a strip iff each component subscheme is one.  The
+    components share no vertex, and a component subscheme sees only the
+    cyclic order its own darts take at each of its vertices.  So the
+    strip rotations of g are a product over disjoint sets of vertices,
+    one factor per component and one free factor per vertex in no
+    component, and the first of them puts together the first of each
+    factor.  A vertex in no component takes its first option.  A
+    component's factor is found on the component itself: its first
+    strip rotation (``_strip_witnesses``, once per distinct
+    restriction), each vertex's order lifted by ``_lift``.
+    """
+    first = [g.darts_at(v) for v in range(g.n_vertices)]
+    rotations = [list(first) for _ in tables]
+    for comp in decomp.components:
+        sub, vmap, emap = mg._restrict(g, comp.vertices, comp.edges)
+        edges = list(emap)  # the edges of g, in the order of sub's ids
+        parts = [tuple([lam[e] for e in edges]) for lam in tables]
+        walked = _strip_witnesses(sub, dict.fromkeys(parts))
+        lifted = {}  # (vertex of g, order at it in sub) -> option of g
+        for rotation, part in zip(rotations, parts):
+            for v, i in vmap.items():
+                order = walked[part][i]
+                if (v, order) not in lifted:
+                    others = [h for h in first[v] if h >> 1 not in emap]
+                    lifted[v, order] = _lift([2 * edges[h >> 1] + (h & 1)
+                                              for h in order], others)
+                rotation[v] = lifted[v, order]
+    return [tuple(r) for r in rotations]
+
+
+def _lift(cycle, others) -> tuple:
+    """The first option at a vertex whose component darts take the
+    anchored cyclic order ``cycle``, with ``others`` the vertex's other
+    darts in ascending order: the two lists merged, least head first.
+
+    The option's first dart is the vertex's least.  Each later place
+    takes the least dart that may come next: the next dart of
+    ``cycle``, or any dart of ``others``.  (The component darts may
+    start their cycle anywhere, but starting at its least dart,
+    ``cycle[0]``, is never later.)  The lift keeps order: where two
+    cycles first differ, the one with the lesser dart places it first.
+    So a component's first strip rotation lifts to the first rotation
+    of g that induces a strip rotation on the component.
+    """
+    out, i = [], 0
+    for h in others:
+        while i < len(cycle) and cycle[i] < h:
+            out.append(cycle[i])
+            i += 1
+        out.append(h)
+    return tuple(out + cycle[i:])
+
+
 @dataclass(frozen=True)
 class StructureClass:
     """One equivalence class of realizable sign tables on a graph.
 
-    members are sorted sign tuples; witnesses[i] is a rotation turning
-    members[i] into a strip; surface describes the capped surface of
-    the representative (shared by all members on the cubic catalogs).
+    members are sorted sign tuples, the representative the first of
+    them; witness is the first rotation, in ``_rotations`` order, that
+    makes the representative a strip; surface describes the capped
+    surface of that strip (shared by all members on the cubic
+    catalogs).
     """
 
     graph: Multigraph
     representative: tuple
     members: tuple
-    witnesses: tuple
+    witness: tuple
     surface: sch.SurfaceType
 
 
@@ -423,26 +376,11 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     bridges and complements each component whose smallest edge is 1
     (complementing a component flips only its own bits).  The classes
     are the orbits of the automorphisms on normal forms, each computed
-    once.  ``witnesses[i]`` is the first rotation, in ``_rotations``
-    order, that makes ``members[i]`` a strip.  When no vertex has degree
-    above 3 the realizability search hands over its index, found per
-    component by flip transport; otherwise one rotation-outer walk over
-    the whole graph, within the budget, finds them for every realizable
-    table at once.
+    once.  Only the representatives get a witness
+    (``_witness_rotations``).
     """
     found, decomp = _realizable(g, threads, budget)
     E = g.n_edges
-    tables = [_unpack_signs(t, E) for t, _i in found]
-    if found and found[0][1] is None:
-        # a vertex of degree above 3: no index to hand over
-        _check_walk(g, budget, "this graph")
-        walked = _strip_witnesses(g, tables)
-        witness = [walked[lam] for lam in tables]
-    else:
-        options = _vertex_options(g)
-        rotation = {i: _rotation_at(options, i)
-                    for i in {i for _t, i in found}}
-        witness = [rotation[i] for _t, i in found]
     eperms = {ep for (_vp, ep) in mg.automorphisms(g)}
     kept = (1 << E) - 1
     for e in decomp.bridges:
@@ -466,22 +404,23 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     # orbit is listed once, when its first table comes up.
     class_of = {}
     grouped = {}
-    for (t, _i), lam, w in zip(found, tables, witness):
+    for t in found:
         x = normal(t)
         if x not in class_of:
             class_of[x] = x
             text = f"{t:0{E}b}"
             for permute in permuters:
                 class_of[normal(int("".join(permute(text)), 2))] = x
-        grouped.setdefault(class_of[x], []).append((lam, w))
+        grouped.setdefault(class_of[x], []).append(t)
 
+    members = [tuple([_unpack_signs(t, E) for t in ts])
+               for ts in grouped.values()]
+    witnesses = _witness_rotations(g, decomp, [m[0] for m in members])
     classes = []
-    for pairs in grouped.values():
-        members, witnesses = zip(*pairs)
+    for m, w in zip(members, witnesses):
         # the witness makes the representative a strip: b = 1, no trace
-        rep_scheme = Scheme(g, witnesses[0], members[0])
-        classes.append(StructureClass(g, members[0], members, witnesses,
-                                      sch._surface(rep_scheme, 1)))
+        classes.append(StructureClass(g, m[0], m, w,
+                                      sch._surface(Scheme(g, w, m[0]), 1)))
     classes.sort(key=lambda c: c.representative)
     return tuple(classes)
 
@@ -520,7 +459,7 @@ def catalog_to_json(cat: Catalog) -> str:
                 "representative_signs": list(c.representative),
                 "members": [list(m) for m in c.members],
                 "witness_rotation": [[sch.dart_name(h) for h in cyc]
-                                     for cyc in c.witnesses[0]],
+                                     for cyc in c.witness],
                 "surface": {
                     "orientable": c.surface.orientable,
                     "euler_closed": c.surface.euler_closed,

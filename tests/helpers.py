@@ -1,7 +1,9 @@
 """Test-only helpers shared by several test modules."""
 from collections import defaultdict
 
+from clstruct import classify as cf
 from clstruct import multigraph as mg
+from clstruct import scheme as sch
 from clstruct.multigraph import Multigraph
 
 
@@ -46,3 +48,13 @@ def fundamental_cycle_basis(g: Multigraph) -> tuple:
         else:
             basis.append(frozenset([e] + tree_path(u, v)))
     return tuple(basis)
+
+
+def oracle_witness_rotation(g: Multigraph, signs) -> tuple:
+    """The first rotation, in ``_rotations`` order, that makes a
+    realizable sign table a strip: every rotation of the whole graph
+    traced in turn, no decomposition."""
+    for rotation in cf._rotations(g):
+        if sch.boundary_trace(sch.Scheme(g, rotation, signs)).b == 1:
+            return rotation
+    raise AssertionError(f"no strip rotation for realizable signs {signs}")

@@ -16,6 +16,7 @@ from clstruct import classify as cf
 from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
+from helpers import oracle_witness_rotation
 
 
 def _catalog_json(q, threads=1):
@@ -115,13 +116,15 @@ def test_criterion_6_invariant_suite():
                 if sch.is_orientable(s):
                     t = sch.surface_type(s)
                     assert t.euler_closed % 2 == 0
-    # members of one class share the surface type of its witnesses
+    # members of one class share the surface type of its representative,
+    # each member traced with its own first strip rotation
     for q in (2, 3):
         cat = cf.catalog(q)
         for g, classes in zip(cat.graphs, cat.classes):
             for c in classes:
                 types = set()
-                for signs, rot in zip(c.members, c.witnesses):
+                for signs in c.members:
+                    rot = oracle_witness_rotation(g, signs)
                     s = sch.make_scheme(g, [list(r) for r in rot],
                                         list(signs))
                     t = sch.surface_type(s)

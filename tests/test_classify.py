@@ -10,6 +10,7 @@ from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
 from clstruct.errors import BudgetExceeded, TooLarge
+from helpers import oracle_witness_rotation
 
 # The rank-3 cubic multigraphs, frozen from an exhaustive backtracking
 # enumeration deduplicated by canonical form and cross-checked against an
@@ -34,6 +35,11 @@ def theta():
 
 def dumbbell():
     return mg.build(2, [(0, 0), (0, 1), (1, 1)])
+
+
+def loops_each_end(k):
+    """k loops at each end of a bridge: both vertices have degree 2k + 1."""
+    return mg.build(2, [(0, 0)] * k + [(0, 1)] + [(1, 1)] * k)
 
 
 def test_generate_cubic_graphs_small_ranks():
@@ -135,9 +141,14 @@ def test_equivalence_classes_wedges():
 
 
 def test_witnesses_are_strips():
-    for c in cf.equivalence_classes(theta()):
-        for signs, rot in zip(c.members, c.witnesses):
-            s = sch.make_scheme(theta(), [list(r) for r in rot], list(signs))
+    # the representative with its witness, and every member with the
+    # first strip rotation of the per-table oracle
+    g = theta()
+    for c in cf.equivalence_classes(g):
+        pairs = [(c.representative, c.witness)]
+        pairs += [(lam, oracle_witness_rotation(g, lam)) for lam in c.members]
+        for signs, rot in pairs:
+            s = sch.make_scheme(g, [list(r) for r in rot], list(signs))
             assert sch.boundary_trace(s).b == 1
             assert sch.oracle_boundary_count(s) == 1
 
@@ -174,18 +185,21 @@ def test_catalog_rank5():
         "fd0b7185abd859d7ecbcb02adf5083b49b3b6227a9bbe4fef6789c1b4cacf42a"
     for g, classes in zip(cat.graphs, cat.classes):
         for c in classes:
-            s = sch.Scheme(g, c.witnesses[0], c.representative)
+            s = sch.Scheme(g, c.witness, c.representative)
             assert sch.oracle_boundary_count(s) == 1, (g, c.representative)
             assert not c.surface.orientable
             assert c.surface.crosscaps == 5
 
 
 def test_catalog_classes_share_surface_type():
+    # each member traced with its own first strip rotation
     for q in (2, 3):
-        for g, classes in zip(cf.catalog(q).graphs, cf.catalog(q).classes):
+        cat = cf.catalog(q)
+        for g, classes in zip(cat.graphs, cat.classes):
             for c in classes:
                 types = set()
-                for signs, rot in zip(c.members, c.witnesses):
+                for signs in c.members:
+                    rot = oracle_witness_rotation(g, signs)
                     s = sch.make_scheme(g, [list(r) for r in rot],
                                         list(signs))
                     t = sch.surface_type(s)
@@ -227,23 +241,59 @@ def test_catalog_budget():
         cf.catalog(3, budget=10)
 
 
-def test_budget_bounds_the_whole_graph_witness_walk():
+def test_budget_bounds_each_component_walk():
     # a bridge between two two-loop components: 4!^2 * 2^5 = 18,432
-    # schemes on the graph, 3! * 2^2 = 24 on each component
-    g = mg.build(2, [(0, 0), (0, 0), (0, 1), (1, 1), (1, 1)])
-    assert cf.realizable_signs(g, budget=100) == cf.realizable_signs(g)
-    with pytest.raises(BudgetExceeded):
-        cf.equivalence_classes(g, budget=100)
-    assert len(cf.equivalence_classes(g)) == 3
+    # schemes on the graph, 3! * 2^2 = 24 on each component.  Every
+    # walk runs on a component, so 24 is the exact threshold.
+    g = loops_each_end(2)
+    for search in (cf.realizable_signs, cf.equivalence_classes):
+        with pytest.raises(BudgetExceeded):
+            search(g, budget=23)
+    assert cf.realizable_signs(g, budget=24) == cf.realizable_signs(g)
+    classes = cf.equivalence_classes(g, budget=24)
+    assert len(classes) == 3
+    assert classes == cf.equivalence_classes(g, budget=None)
+
+
+def _component_graphs(g):
+    return [mg._restrict(g, c.vertices, c.edges)[0]
+            for c in mg.bridges_and_components(g).components]
+
+
+def test_strip_tests_stay_within_two_walks_per_component(monkeypatch):
+    # realizability walks each component over its coset representatives,
+    # the witness search over the distinct restrictions of the class
+    # representatives: each at most scheme_count(component) strip tests
+    kernel = sch._single_orbit_strip
+    calls = [0]
+
+    def counted(turn, signs):
+        calls[0] += 1
+        return kernel(turn, signs)
+
+    monkeypatch.setattr(sch, "_single_orbit_strip", counted)
+    graphs = [loops_each_end(2), loops_each_end(3)]
+    rng = random.Random(17)
+    while len(graphs) < 40:
+        g = mg.cyclic_part(cli.random_multigraph(rng, 5, 5)).graph
+        if (max(g.degrees(), default=0) > 3 and
+                sum(map(cf.scheme_count, _component_graphs(g))) <= 20_000):
+            graphs.append(g)
+    for g in graphs:
+        calls[0] = 0
+        cf.equivalence_classes(g)
+        assert 0 < calls[0] <= 2 * sum(map(cf.scheme_count,
+                                           _component_graphs(g))), g
 
 
 # --- the per-table search, kept as a test-only oracle ---
 #
 # Before the coset search, every sign table of a component was tried
 # against every rotation in turn, and each realizable member searched
-# the rotations again for its witness.  Both are kept here, with the
-# class key that tried every combination of component complements, to
-# check the coset search and the rotation-outer witness walk against.
+# the rotations again for its witness (``oracle_witness_rotation`` in
+# helpers).  Both are kept here, with the class key that tried every
+# combination of component complements, to check the coset search and
+# the per-component witness search against.
 
 def _oracle_component_realizable(sub):
     found = []
@@ -278,13 +328,6 @@ def oracle_realizable_signs(g):
     return tuple(sorted(out))
 
 
-def oracle_witness_rotation(g, signs):
-    for rotation in cf._rotations(g):
-        if sch.boundary_trace(sch.Scheme(g, rotation, signs)).b == 1:
-            return rotation
-    raise AssertionError(f"no strip rotation for realizable signs {signs}")
-
-
 def oracle_equivalence_classes(g):
     realizable = oracle_realizable_signs(g)
     decomp = mg.bridges_and_components(g)
@@ -314,10 +357,10 @@ def oracle_equivalence_classes(g):
         grouped.setdefault(class_key(lam), []).append(lam)
     classes = []
     for members in grouped.values():
-        witnesses = tuple(oracle_witness_rotation(g, lam) for lam in members)
-        rep = sch.Scheme(g, witnesses[0], members[0])
+        witness = oracle_witness_rotation(g, members[0])
+        rep = sch.Scheme(g, witness, members[0])
         classes.append(cf.StructureClass(g, members[0], tuple(members),
-                                         witnesses, sch.surface_type(rep)))
+                                         witness, sch.surface_type(rep)))
     classes.sort(key=lambda c: c.representative)
     return tuple(classes)
 
@@ -343,7 +386,7 @@ def test_coset_search_matches_per_table_oracle(rank4_graphs):
     for g in graphs:
         assert cf.realizable_signs(g) == oracle_realizable_signs(g), g
         # every StructureClass field: representative, members,
-        # witnesses and surface
+        # witness and surface
         assert cf.equivalence_classes(g) == oracle_equivalence_classes(g), g
 
 
@@ -420,59 +463,59 @@ def test_component_coset_closed_forms(rank4_graphs):
     assert {1, 2, 3, 4} <= ranks
 
 
-# --- witnesses by flip transport, against the walks they replace ---
+# --- witnesses per component, against the whole-graph oracle ---
 
-def test_lexmin_xor_matches_brute_force():
-    rng = random.Random(29)
-    for width in range(1, 9):
-        universe = range(1 << width)
-        for size in {1, min(3, 1 << width), 1 << (width - 1), 1 << width}:
-            for _ in range(20):
-                rs = sorted(rng.sample(universe, size))
-                for m in universe:
-                    assert cf._lexmin_xor(rs, m) == min(r ^ m for r in rs)
+def _induced(option, darts):
+    """The cyclic order an anchored option induces on some of its darts,
+    anchored again."""
+    return sch._anchor([h for h in option if h in darts])
 
 
-def _strip_rotation_indices(sub, signs):
-    """Every rotation of sub traced, no half walk, no flip argument."""
-    return [i for i, rotation in enumerate(cf._rotations(sub))
-            if sch.boundary_trace(sch.Scheme(sub, rotation, signs)).b == 1]
+def test_lift_is_the_least_option_with_its_induced_order():
+    # vertices of degree 4 to 6 in a component, with bridge darts too
+    checked = {4: 0, 5: 0, 6: 0}
+    rng = random.Random(23)
+    while min(checked.values()) < 6:
+        g = mg.cyclic_part(cli.random_multigraph(rng, 6, 6)).graph
+        if max(g.degrees(), default=0) > 6:
+            continue  # (deg - 1)! options per vertex
+        decomp = mg.bridges_and_components(g)
+        bridge_darts = {2 * e + end for e in decomp.bridges for end in (0, 1)}
+        options = cf._vertex_options(g)
+        for comp in decomp.components:
+            for v in comp.vertices:
+                darts = g.darts_at(v)
+                others = [h for h in darts if h in bridge_darts]
+                if len(darts) not in checked or not others:
+                    continue
+                own = {h for h in darts if h not in bridge_darts}
+                for option in options[v]:
+                    cycle = _induced(option, own)
+                    least = min(o for o in options[v]
+                                if _induced(o, own) == cycle)
+                    assert cf._lift(list(cycle), others) == least
+                checked[len(darts)] += 1
 
 
-def test_strip_rotation_sets_are_mirror_closed_and_move_with_flips():
-    checked = 0
-    for q in (2, 3):
-        for g in cf.generate_cubic_graphs(q):
-            for comp in mg.bridges_and_components(g).components:
-                sub = mg._restrict(g, comp.vertices, comp.edges)[0]
-                option = cf._option_bits(sub)
-                full = sum(option)
-                _tree, free = mg._spanning_tree(sub)
-                for bits in itertools.product((0, 1), repeat=len(free)):
-                    rep = [0] * sub.n_edges
-                    for e, x in zip(free, bits):
-                        rep[e] = x
-                    rs = _strip_rotation_indices(sub, rep)
-                    assert sorted(r ^ full for r in rs) == rs
-                    got = cf._strip_rotation_sets(sub, [tuple(rep)], option)
-                    assert got == ([(tuple(rep), rs)] if rs else [])
-                    for v, cut in enumerate(_cut_toggles(sub)):
-                        moved = [x ^ c for x, c in zip(rep, cut)]
-                        assert _strip_rotation_indices(sub, moved) == \
-                            sorted(r ^ option[v] for r in rs)
-                    checked += 1
-    assert checked == 42
+def _sampled_graphs():
+    graphs = [g for q in (2, 3, 4) for g in cf.generate_cubic_graphs(q)]
+    graphs += random.Random(5).sample(cf.generate_cubic_graphs(5), 10)
+    # cyclic parts with loops, bridges and vertices of degree > 3
+    rng = random.Random(11)
+    drawn = 0
+    while drawn < 60:
+        g = mg.cyclic_part(cli.random_multigraph(rng, 5, 5)).graph
+        if max(g.degrees(), default=0) > 3 and cf.scheme_count(g) <= 20_000:
+            graphs.append(g)
+            drawn += 1
+    return graphs
 
 
-def test_transported_witnesses_match_the_whole_graph_walk(rank4_graphs):
-    rank5 = random.Random(5).sample(cf.generate_cubic_graphs(5), 10)
-    for g in list(rank4_graphs) + rank5:
-        found, _decomp = cf._realizable(g, 1, cf.DEFAULT_BUDGET)
-        assert None not in [i for _t, i in found]
-        walked = cf._strip_witnesses(
-            g, [cf._unpack_signs(t, g.n_edges) for t, _i in found])
-        assert {lam: w for c in cf.equivalence_classes(g)
-                for lam, w in zip(c.members, c.witnesses)} == walked, g
+def test_witnesses_are_the_first_strip_rotation_of_the_graph():
+    for g in _sampled_graphs():
+        for c in cf.equivalence_classes(g):
+            assert c.witness == oracle_witness_rotation(g,
+                                                        c.representative), g
 
 
 def test_equivalence_classes_are_the_same_with_threads():

@@ -39,9 +39,10 @@ sign 1 1
 sign 2 1
 """
 
-# graph-only files with no cubic vertex: their witnesses come from the
-# rotation walk over the whole graph.  hub has a two-loop component at
-# each end of a bridge, so both vertices have degree 5.
+# graph-only files with no cubic vertex.  hub has a two-loop component
+# at each end of a bridge, so both vertices have degree 5; loops3 has a
+# three-loop component at each end, 6!^2 * 2^7 = 66M schemes on the
+# graph but 5! * 2^3 = 960 on each component.
 HUB = """\
 graph hub
 vertex 0
@@ -51,6 +52,19 @@ edge 1 0 0
 edge 2 0 1
 edge 3 1 1
 edge 4 1 1
+"""
+
+LOOPS3 = """\
+graph loops3
+vertex 0
+vertex 1
+edge 0 0 0
+edge 1 0 0
+edge 2 0 0
+edge 3 0 1
+edge 4 1 1
+edge 5 1 1
+edge 6 1 1
 """
 
 WEDGE3_GRAPH = """\
@@ -399,7 +413,9 @@ def test_structures_rejects_bad_counts(argv, capsys):
     (HUB, "342685ac47fe4f1695185eb77f4ae51eb7c84ea1ff256fd10f5269c466ab8de4"),
     (WEDGE3_GRAPH,
      "518baa3681d7591abb5857e56b549b4099b7c8d0d98daf09be535116a810058d"),
-], ids=["hub", "wedge3"])
+    (LOOPS3,
+     "0edb7fcc8bbce6e2e275f84b086ad8f2e269179e89f71b2c474a07257e9c5dc2"),
+], ids=["hub", "wedge3", "loops3"])
 def test_non_cubic_structures_json_is_pinned(tmp_path, capsys, text, digest):
     p = tmp_path / "graph.txt"
     p.write_text(text)
@@ -410,14 +426,20 @@ def test_non_cubic_structures_json_is_pinned(tmp_path, capsys, text, digest):
 
 
 def test_non_cubic_witness_walk_is_budgeted(tmp_path, capsys):
+    # every walk runs on a component: hub's have 3! * 2^2 = 24 schemes
     p = tmp_path / "hub.txt"
     p.write_text(HUB)
     assert cli.main(["structures", "--input", str(p), "--budget",
-                     "100"]) == 3
+                     "23"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("clstruct: error: ")
+    assert cli.main(["structures", "--input", str(p), "--budget", "24",
+                     "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "342685ac47fe4f1695185eb77f4ae51eb7c84ea1ff256fd10f5269c466ab8de4"
 
 
 def test_any_package_error_exits_2(monkeypatch, capsys):
