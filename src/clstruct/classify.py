@@ -15,7 +15,10 @@ Enumeration conventions: rotations are generated anchored (each cyclic
 order starts at its smallest dart), giving (deg(v)-1)! options per
 vertex, and are deliberately not quotiented by reflection — the
 reflected rotations are genuinely different schemes and may carry the
-realizability witnesses.
+realizability witnesses.  The last vertex's option changes fastest.
+The walk is lazy (``_rotations``): a vertex's options are made only
+when the walk reaches them, so a walk that stops early never lists
+them all.
 
 Search: a vertex flip (reverse the rotation at v, toggle the signs of
 its non-loop edges) keeps the boundary count and maps anchored
@@ -30,8 +33,11 @@ enumeration order, that makes its representative a strip.  The
 components share no vertex, so that rotation is found per component:
 one more walk over the component's rotations, for the distinct
 restrictions of the class representatives, then lifted into the graph
-a vertex at a time.  Every walk runs on a component, and the budget
-bounds each of them (``_check_walk``).
+a vertex at a time.  Each component is restricted once
+(``mg._restrict``), and its graph and maps serve both walks and the
+class keys.  Every walk runs on a component, and the budget bounds
+each of them (``_check_walk``): every component is checked before the
+first strip test.
 """
 from __future__ import annotations
 
@@ -63,25 +69,34 @@ def scheme_count(g: Multigraph) -> int:
     return count
 
 
-def _vertex_options(g: Multigraph) -> list:
-    """Per vertex, its anchored rotations in the order ``_rotations``
-    takes them: (deg(v)-1)! of them, the darts after the anchor
-    permuted in lexicographic order."""
-    per_vertex = []
-    for v in range(g.n_vertices):
-        darts = g.darts_at(v)
-        if not darts:
-            per_vertex.append([()])
-            continue
-        anchor, rest = darts[0], darts[1:]
-        per_vertex.append([(anchor,) + p
-                           for p in itertools.permutations(rest)])
-    return per_vertex
-
-
 def _rotations(g: Multigraph):
-    """All anchored rotation systems, in deterministic order."""
-    return itertools.product(*_vertex_options(g))
+    """All anchored rotation systems, in deterministic order: the last
+    vertex's option changes fastest, and each vertex keeps its least
+    dart first and permutes the others in lexicographic order.  An
+    odometer over one option iterator per vertex, held on a stack, so a
+    vertex's (deg(v)-1)! options are made only as the walk reaches them.
+    """
+    n = g.n_vertices
+
+    def options(v):
+        darts = g.darts_at(v)
+        return (darts[:1] + p for p in itertools.permutations(darts[1:]))
+
+    stack, rotation = [], []
+    while True:
+        while len(rotation) < n:  # later vertices start at their first
+            stack.append(options(len(rotation)))
+            rotation.append(next(stack[-1]))
+        yield tuple(rotation)
+        while stack:  # advance the last vertex with an option left
+            rotation.pop()
+            option = next(stack[-1], None)
+            if option is not None:
+                rotation.append(option)
+                break
+            stack.pop()
+        else:
+            return
 
 
 def _check_walk(g: Multigraph, budget: int | None, what: str) -> None:
@@ -200,19 +215,28 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     whole coset of vertex-flip toggles.  ``threads`` splits the
     representatives over a thread pool.  Returns a sorted tuple.
     """
-    found, _decomp = _realizable(g, threads, budget)
+    found, _parts = _realizable(g, threads, budget)
     return tuple(_unpack_signs(t, g.n_edges) for t in found)
 
 
 def _realizable(g: Multigraph, threads: int, budget: int | None):
     """The realizable tables of g packed by ``_pack_signs``, as a sorted
-    list, and ``mg.bridges_and_components(g)``."""
+    list, and each 2-connected component restricted once by
+    ``mg._restrict``, as (graph, vertex map, edge map).
+
+    Every component's budget is checked (``_check_walk``) before the
+    first of them is walked.
+    """
     if not mg.is_cyclic_part(g):
         raise NotCyclicPart("realizable_signs needs the cyclic part")
     E = g.n_edges
     decomp = mg.bridges_and_components(g)
-    choices = [_component_realizable(g, comp, threads, budget)
-               for comp in decomp.components]
+    parts = [mg._restrict(g, comp.vertices, comp.edges)
+             for comp in decomp.components]
+    for sub, _vmap, _emap in parts:
+        _check_walk(sub, budget, "a component")
+    choices = [_component_realizable(E, sub, emap, threads)
+               for sub, _vmap, emap in parts]
     bridge_values = [0]
     for e in decomp.bridges:
         bridge_values += [x | 1 << (E - 1 - e) for x in bridge_values]
@@ -221,19 +245,18 @@ def _realizable(g: Multigraph, threads: int, budget: int | None):
         table = sum(picks)
         found += [table | x for x in bridge_values]
     found.sort()
-    return found, decomp
+    return found, parts
 
 
-def _component_realizable(g: Multigraph, comp: mg.Component, threads: int,
-                          budget: int | None) -> list:
-    """The realizable tables of g restricted to a 2-connected component,
-    packed in the coordinates of g (edge 0 in the top bit, 0 on every
-    edge outside the component).  The walk over the component's
+def _component_realizable(n_edges: int, sub: Multigraph, emap: dict,
+                          threads: int) -> list:
+    """The realizable tables of a graph with ``n_edges`` edges restricted
+    to its 2-connected component ``sub`` (``emap`` sends the graph's edge
+    ids to sub's), packed in the graph's coordinates (edge 0 in the top
+    bit, 0 on every edge outside the component).  The walk over sub's
     rotations ends once every coset representative has a strip
-    rotation."""
-    sub, _vmap, emap = mg._restrict(g, comp.vertices, comp.edges)
-    _check_walk(sub, budget, "a component")
-    edge_bit = [1 << (g.n_edges - 1 - e) for e in emap]
+    rotation; the caller has checked its budget."""
+    edge_bit = [1 << (n_edges - 1 - e) for e in emap]
     _tree, free = mg._spanning_tree(sub)
     reps = []
     for bits in itertools.product((0, 1), repeat=len(free)):
@@ -287,10 +310,10 @@ def _strip_witnesses(g: Multigraph, tables) -> dict:
     return witnesses
 
 
-def _witness_rotations(g: Multigraph, decomp: mg.Decomposition,
-                       tables) -> list:
+def _witness_rotations(g: Multigraph, parts, tables) -> list:
     """The first rotation, in ``_rotations(g)`` order, that makes each
-    of the realizable ``tables`` (sign tuples) a strip.
+    of the realizable ``tables`` (sign tuples) a strip; ``parts`` are
+    g's 2-connected components as ``_realizable`` restricted them.
 
     A scheme is a strip iff each component subscheme is one.  The
     components share no vertex, and a component subscheme sees only the
@@ -305,15 +328,14 @@ def _witness_rotations(g: Multigraph, decomp: mg.Decomposition,
     """
     first = [g.darts_at(v) for v in range(g.n_vertices)]
     rotations = [list(first) for _ in tables]
-    for comp in decomp.components:
-        sub, vmap, emap = mg._restrict(g, comp.vertices, comp.edges)
+    for sub, vmap, emap in parts:
         edges = list(emap)  # the edges of g, in the order of sub's ids
-        parts = [tuple([lam[e] for e in edges]) for lam in tables]
-        walked = _strip_witnesses(sub, dict.fromkeys(parts))
+        restricted = [tuple([lam[e] for e in edges]) for lam in tables]
+        walked = _strip_witnesses(sub, dict.fromkeys(restricted))
         lifted = {}  # (vertex of g, order at it in sub) -> option of g
-        for rotation, part in zip(rotations, parts):
+        for rotation, lam in zip(rotations, restricted):
             for v, i in vmap.items():
-                order = walked[part][i]
+                order = walked[lam][i]
                 if (v, order) not in lifted:
                     others = [h for h in first[v] if h >> 1 not in emap]
                     lifted[v, order] = _lift([2 * edges[h >> 1] + (h & 1)
@@ -377,18 +399,18 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     (complementing a component flips only its own bits).  The classes
     are the orbits of the automorphisms on normal forms, each computed
     once.  Only the representatives get a witness
-    (``_witness_rotations``).
+    (``_witness_rotations``).  The automorphisms come first, so a graph
+    over their vertex cap (``mg.MAX_VERTICES``) raises TooLarge before
+    any walk.
     """
-    found, decomp = _realizable(g, threads, budget)
-    E = g.n_edges
     eperms = {ep for (_vp, ep) in mg.automorphisms(g)}
-    kept = (1 << E) - 1
-    for e in decomp.bridges:
-        kept ^= 1 << (E - 1 - e)
+    found, parts = _realizable(g, threads, budget)
+    E = g.n_edges
     # (bit of the smallest edge, bits of all edges) per component
-    comp_bits = [(1 << (E - 1 - min(c.edges)),
-                  sum(1 << (E - 1 - e) for e in c.edges))
-                 for c in decomp.components]
+    comp_bits = [(1 << (E - 1 - min(emap)),
+                  sum(1 << (E - 1 - e) for e in emap))
+                 for _sub, _vmap, emap in parts]
+    kept = sum(bits for _top, bits in comp_bits)  # every edge but bridges
     # the point graph has no edge to permute
     permuters = [itemgetter(*ep) for ep in eperms if ep]
 
@@ -415,7 +437,7 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
 
     members = [tuple([_unpack_signs(t, E) for t in ts])
                for ts in grouped.values()]
-    witnesses = _witness_rotations(g, decomp, [m[0] for m in members])
+    witnesses = _witness_rotations(g, parts, [m[0] for m in members])
     classes = []
     for m, w in zip(members, witnesses):
         # the witness makes the representative a strip: b = 1, no trace
@@ -456,8 +478,8 @@ def catalog_to_json(cat: Catalog) -> str:
         entries = []
         for c in classes:
             entries.append({
-                "representative_signs": list(c.representative),
-                "members": [list(m) for m in c.members],
+                "representative_signs": c.representative,
+                "members": c.members,
                 "witness_rotation": [[sch.dart_name(h) for h in cyc]
                                      for cyc in c.witness],
                 "surface": {
@@ -469,7 +491,7 @@ def catalog_to_json(cat: Catalog) -> str:
                 },
             })
         graphs.append({
-            "canonical_edges": [list(e) for e in g.edges],
+            "canonical_edges": g.edges,
             "classes": entries,
         })
     return _json({"q": cat.q, "totals": cat.total, "graphs": graphs})
@@ -486,9 +508,10 @@ def _json(doc) -> str:
 
     The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2)``
     plus "\\n", whose indented form always runs the pure-Python encoder,
-    for documents of dicts with str keys, lists, str, int, bool, None
-    and finite floats; any other type raises TypeError.  The writer
-    recurses over dicts and lists and joins a list of ints, or of other
+    for documents of dicts with str keys, lists and tuples (both written
+    as JSON arrays, as ``json.dumps`` does), str, int, bool, None and
+    finite floats; any other type raises TypeError.  The writer recurses
+    over dicts and arrays and joins an array of ints, or of other
     scalars, in one step; strings go through the C quoter that
     ``json.dumps`` uses.
     """
@@ -526,7 +549,7 @@ def _write(x, nl: str, out: list) -> None:
             _write(x[key], inner, out)
             sep = "," + inner
         out.append(nl + "}")
-    elif t is list:
+    elif t is list or t is tuple:
         if not x:
             out.append("[]")
             return

@@ -147,7 +147,7 @@ def _cmd_graphs(args) -> int:
     if args.format == "json":
         doc = {"q": args.q, "count": len(graphs),
                "graphs": [{"n_vertices": g.n_vertices,
-                           "edges": [list(e) for e in g.edges]}
+                           "edges": g.edges}
                           for g in graphs]}
         print(classify._json(doc), end="")
         return 0
@@ -220,18 +220,18 @@ def _cmd_trace(args) -> int:
 def _scheme_doc(name, s):
     return {"name": name,
             "n_vertices": s.graph.n_vertices,
-            "edges": [list(e) for e in s.graph.edges],
+            "edges": s.graph.edges,
             "rotation": [[sch.dart_name(h) for h in cyc]
                          for cyc in s.rotation],
-            "signs": list(s.signs),
+            "signs": s.signs,
             "text": sch.format_scheme(name, s)}
 
 
 def _step_doc(step):
     return {"kind": step.kind, "vertex": step.vertex, "edge": step.edge,
-            "new_vertices": list(step.new_vertices),
-            "new_edges": list(step.new_edges),
-            "dart_map": [list(p) for p in step.dart_map]}
+            "new_vertices": step.new_vertices,
+            "new_edges": step.new_edges,
+            "dart_map": step.dart_map}
 
 
 def _cmd_reduce(args) -> int:

@@ -58,3 +58,17 @@ def oracle_witness_rotation(g: Multigraph, signs) -> tuple:
         if sch.boundary_trace(sch.Scheme(g, rotation, signs)).b == 1:
             return rotation
     raise AssertionError(f"no strip rotation for realizable signs {signs}")
+
+
+def count_strip_tests(monkeypatch) -> list:
+    """Count ``scheme._single_orbit_strip`` calls, the strip tests of
+    every search walk, in the returned one-item list."""
+    kernel = sch._single_orbit_strip
+    calls = [0]
+
+    def counted(turn, signs):
+        calls[0] += 1
+        return kernel(turn, signs)
+
+    monkeypatch.setattr(sch, "_single_orbit_strip", counted)
+    return calls

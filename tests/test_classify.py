@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,7 @@ from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
 from clstruct.errors import BudgetExceeded, TooLarge
-from helpers import oracle_witness_rotation
+from helpers import count_strip_tests, oracle_witness_rotation
 
 # The rank-3 cubic multigraphs, frozen from an exhaustive backtracking
 # enumeration deduplicated by canonical form and cross-checked against an
@@ -77,6 +78,66 @@ def test_enumerate_schemes_counts_and_budget():
     assert len(seen) == 32  # no duplicates after anchoring
     with pytest.raises(BudgetExceeded):
         list(cf.enumerate_schemes(theta(), budget=31))
+
+
+# --- the rotation walk, against the product of option lists ---
+
+def option_lists(g):
+    """Per vertex, its (deg(v)-1)! anchored options as a list: the least
+    dart first, the others permuted in lexicographic order."""
+    per_vertex = []
+    for v in range(g.n_vertices):
+        darts = g.darts_at(v)
+        per_vertex.append([darts[:1] + p
+                           for p in itertools.permutations(darts[1:])])
+    return per_vertex
+
+
+def test_rotations_are_the_product_of_the_option_lists():
+    graphs = [g for q in (2, 3, 4) for g in cf.generate_cubic_graphs(q)]
+    graphs += [mg.build(1, []), loops_each_end(2), wedge(4)]
+    rng = random.Random(29)
+    drawn = 0
+    while drawn < 120:
+        g = mg.cyclic_part(cli.random_multigraph(rng, 5, 5)).graph
+        if max(g.degrees(), default=0) <= 6:
+            graphs.append(g)
+            drawn += 1
+    for g in graphs:
+        assert list(cf._rotations(g)) == \
+            list(itertools.product(*option_lists(g))), g
+
+
+def test_first_rotation_makes_one_option_per_vertex():
+    # a five-loop wedge has 9! = 362,880 options at its one vertex
+    g = wedge(5)
+    tracemalloc.start()
+    try:
+        first = next(cf._rotations(g))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == (tuple(range(10)),)
+    assert peak < 1 << 20
+
+
+def test_rotations_walk_a_long_cycle():
+    n = 3000
+    g = mg.build(n, [(v, (v + 1) % n) for v in range(n)])
+    assert next(cf._rotations(g)) == tuple(g.darts_at(v) for v in range(n))
+
+
+def test_every_component_budget_is_checked_before_any_strip_test(
+        monkeypatch):
+    # a two-loop component with 3! * 2^2 = 24 schemes comes first, then
+    # a five-loop one with 9! * 2^5 = 11,612,160: neither is walked
+    g = mg.build(2, [(0, 0), (0, 0), (0, 1)] + [(1, 1)] * 5)
+    calls = count_strip_tests(monkeypatch)
+    for search in (cf.realizable_signs, cf.equivalence_classes):
+        with pytest.raises(BudgetExceeded, match="^11612160 schemes on a "
+                           "component exceed the budget 10000000$"):
+            search(g)
+    assert calls[0] == 0
 
 
 def test_realizable_signs_loop_and_wedges():
@@ -264,14 +325,7 @@ def test_strip_tests_stay_within_two_walks_per_component(monkeypatch):
     # realizability walks each component over its coset representatives,
     # the witness search over the distinct restrictions of the class
     # representatives: each at most scheme_count(component) strip tests
-    kernel = sch._single_orbit_strip
-    calls = [0]
-
-    def counted(turn, signs):
-        calls[0] += 1
-        return kernel(turn, signs)
-
-    monkeypatch.setattr(sch, "_single_orbit_strip", counted)
+    calls = count_strip_tests(monkeypatch)
     graphs = [loops_each_end(2), loops_each_end(3)]
     rng = random.Random(17)
     while len(graphs) < 40:
@@ -481,7 +535,7 @@ def test_lift_is_the_least_option_with_its_induced_order():
             continue  # (deg - 1)! options per vertex
         decomp = mg.bridges_and_components(g)
         bridge_darts = {2 * e + end for e in decomp.bridges for end in (0, 1)}
-        options = cf._vertex_options(g)
+        options = option_lists(g)
         for comp in decomp.components:
             for v in comp.vertices:
                 darts = g.darts_at(v)

@@ -12,6 +12,7 @@ from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
 from clstruct.errors import ClstructError
+from helpers import count_strip_tests
 
 THETA = """\
 graph theta
@@ -73,6 +74,16 @@ vertex 0
 edge 0 0 0
 edge 1 0 0
 edge 2 0 0
+"""
+
+WEDGE5_GRAPH = """\
+graph wedge5
+vertex 0
+edge 0 0 0
+edge 1 0 0
+edge 2 0 0
+edge 3 0 0
+edge 4 0 0
 """
 
 
@@ -270,13 +281,20 @@ def test_caps_and_budgets_exit_3(capsys):
     assert cli.main(["structures", "--q", "3", "--budget", "10"]) == 3
 
 
-def test_structures_over_the_vertex_cap_exit_3(tmp_path, capsys):
-    p = tmp_path / "cycle11.txt"
-    p.write_text(mg.format_graph(
-        "cycle11", mg.build(11, [(v, (v + 1) % 11) for v in range(11)])))
-    assert cli.main(["structures", "--input", str(p)]) == 3
-    assert capsys.readouterr().err == (
-        "clstruct: error: 11 vertices exceeds the automorphisms cap 10\n")
+def test_structures_over_the_vertex_cap_exit_3(tmp_path, capsys,
+                                              monkeypatch):
+    # the cap comes before any strip test, also on a graph that is not
+    # its own cyclic part: vertex 11 hangs on a bridge
+    cycle = [(v, (v + 1) % 11) for v in range(11)]
+    calls = count_strip_tests(monkeypatch)
+    for n, edges in ((11, cycle), (12, cycle + [(0, 11)])):
+        p = tmp_path / "big.txt"
+        p.write_text(mg.format_graph("big", mg.build(n, edges)))
+        assert cli.main(["structures", "--input", str(p)]) == 3
+        assert capsys.readouterr() == ("", (
+            f"clstruct: error: {n} vertices exceeds the automorphisms "
+            f"cap 10\n"))
+    assert calls[0] == 0
 
 
 def test_verify_default_passes(capsys):
@@ -480,3 +498,19 @@ def test_closed_stdout_ends_quietly():
     assert err == b""
     assert proc.returncode == 0
 
+
+def test_five_loop_wedge_is_budgeted_and_pinned(tmp_path, capsys):
+    # 9! * 2^5 = 11,612,160 schemes on its one component, over the
+    # default budget
+    p = tmp_path / "wedge5.txt"
+    p.write_text(WEDGE5_GRAPH)
+    assert cli.main(["structures", "--input", str(p)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("clstruct: error: 11612160 schemes on a component "
+                   "exceed the budget 10000000\n")
+    assert cli.main(["structures", "--input", str(p), "--budget",
+                     "12000000", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "0e45e30f271f7bf14e813598e1d710d592b6386d859f9cc75b3a873fd2bbc2c9"

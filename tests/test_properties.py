@@ -105,12 +105,15 @@ JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.integers(-2 ** 100, 2 ** 100), JSON_TEXT,
     st.floats(allow_nan=False, allow_infinity=False))
-# Lists of only ints and bools check that the int fast path takes no bool.
+# Lists of only ints and bools check that the int fast path takes no bool;
+# tuples are written as arrays, as json.dumps writes them.
 JSON_DOCS = st.recursive(
     JSON_SCALARS,
     lambda kids: st.one_of(
         st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
         st.lists(st.integers() | st.booleans(), max_size=5),
+        st.lists(st.integers(), max_size=5).map(tuple),
         st.dictionaries(JSON_TEXT, kids, max_size=5)),
     max_leaves=30)
 
