@@ -36,8 +36,9 @@ restrictions of the class representatives, then lifted into the graph
 a vertex at a time.  Each component is restricted once
 (``mg._restrict``), and its graph and maps serve both walks and the
 class keys.  Every walk runs on a component, and the budget bounds
-each of them (``_check_walk``): every component is checked before the
-first strip test.
+each of them (``_check_walk``): every component is checked
+(``_components``) before the first strip test, and before the graph's
+automorphisms are listed.
 """
 from __future__ import annotations
 
@@ -76,11 +77,12 @@ def _rotations(g: Multigraph):
     odometer over one option iterator per vertex, held on a stack, so a
     vertex's (deg(v)-1)! options are made only as the walk reaches them.
     """
-    n = g.n_vertices
+    darts = g.darts()
+    n = len(darts)
 
     def options(v):
-        darts = g.darts_at(v)
-        return (darts[:1] + p for p in itertools.permutations(darts[1:]))
+        return (darts[v][:1] + p
+                for p in itertools.permutations(darts[v][1:]))
 
     stack, rotation = [], []
     while True:
@@ -215,37 +217,43 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     whole coset of vertex-flip toggles.  ``threads`` splits the
     representatives over a thread pool.  Returns a sorted tuple.
     """
-    found, _parts = _realizable(g, threads, budget)
+    parts, bridges = _components(g, budget)
+    found = _realizable(g.n_edges, parts, bridges, threads)
     return tuple(_unpack_signs(t, g.n_edges) for t in found)
 
 
-def _realizable(g: Multigraph, threads: int, budget: int | None):
-    """The realizable tables of g packed by ``_pack_signs``, as a sorted
-    list, and each 2-connected component restricted once by
-    ``mg._restrict``, as (graph, vertex map, edge map).
+def _components(g: Multigraph, budget: int | None):
+    """g's 2-connected components, each restricted once by
+    ``mg._restrict`` as (graph, vertex map, edge map), and g's bridges.
 
-    Every component's budget is checked (``_check_walk``) before the
-    first of them is walked.
+    Every component's budget is checked here (``_check_walk``), before
+    any walk and before anything else is built for the search.
     """
     if not mg.is_cyclic_part(g):
         raise NotCyclicPart("realizable_signs needs the cyclic part")
-    E = g.n_edges
     decomp = mg.bridges_and_components(g)
     parts = [mg._restrict(g, comp.vertices, comp.edges)
              for comp in decomp.components]
     for sub, _vmap, _emap in parts:
         _check_walk(sub, budget, "a component")
-    choices = [_component_realizable(E, sub, emap, threads)
+    return parts, decomp.bridges
+
+
+def _realizable(n_edges: int, parts, bridges, threads: int) -> list:
+    """The realizable tables of a graph with ``n_edges`` edges, packed
+    by ``_pack_signs``, as a sorted list; ``parts`` and ``bridges`` are
+    its components and bridges as ``_components`` gives them."""
+    choices = [_component_realizable(n_edges, sub, emap, threads)
                for sub, _vmap, emap in parts]
     bridge_values = [0]
-    for e in decomp.bridges:
-        bridge_values += [x | 1 << (E - 1 - e) for x in bridge_values]
+    for e in bridges:
+        bridge_values += [x | 1 << (n_edges - 1 - e) for x in bridge_values]
     found = []
     for picks in itertools.product(*choices):
         table = sum(picks)
         found += [table | x for x in bridge_values]
     found.sort()
-    return found, parts
+    return found
 
 
 def _component_realizable(n_edges: int, sub: Multigraph, emap: dict,
@@ -313,7 +321,7 @@ def _strip_witnesses(g: Multigraph, tables) -> dict:
 def _witness_rotations(g: Multigraph, parts, tables) -> list:
     """The first rotation, in ``_rotations(g)`` order, that makes each
     of the realizable ``tables`` (sign tuples) a strip; ``parts`` are
-    g's 2-connected components as ``_realizable`` restricted them.
+    g's 2-connected components as ``_components`` restricted them.
 
     A scheme is a strip iff each component subscheme is one.  The
     components share no vertex, and a component subscheme sees only the
@@ -326,7 +334,7 @@ def _witness_rotations(g: Multigraph, parts, tables) -> list:
     strip rotation (``_strip_witnesses``, once per distinct
     restriction), each vertex's order lifted by ``_lift``.
     """
-    first = [g.darts_at(v) for v in range(g.n_vertices)]
+    first = g.darts()
     rotations = [list(first) for _ in tables]
     for sub, vmap, emap in parts:
         edges = list(emap)  # the edges of g, in the order of sub's ids
@@ -399,12 +407,16 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     (complementing a component flips only its own bits).  The classes
     are the orbits of the automorphisms on normal forms, each computed
     once.  Only the representatives get a witness
-    (``_witness_rotations``).  The automorphisms come first, so a graph
-    over their vertex cap (``mg.MAX_VERTICES``) raises TooLarge before
-    any walk.
+    (``_witness_rotations``).  The vertex cap of the automorphisms
+    (``mg.MAX_VERTICES``) is checked first, then the cyclic part and
+    every component's budget (``_components``), and only then are the
+    automorphisms listed (k! edge permutations for k parallel edges)
+    and the components walked.
     """
+    mg._check_cap(g, "automorphisms")
+    parts, bridges = _components(g, budget)
     eperms = {ep for (_vp, ep) in mg.automorphisms(g)}
-    found, parts = _realizable(g, threads, budget)
+    found = _realizable(g.n_edges, parts, bridges, threads)
     E = g.n_edges
     # (bit of the smallest edge, bits of all edges) per component
     comp_bits = [(1 << (E - 1 - min(emap)),

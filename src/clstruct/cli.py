@@ -373,8 +373,7 @@ def random_scheme(rng, g=None, max_vertices=8, max_extra=6):
     if g is None:
         g = random_multigraph(rng, max_vertices, max_extra)
     rotation = []
-    for v in range(g.n_vertices):
-        darts = list(g.darts_at(v))
+    for darts in map(list, g.darts()):
         rng.shuffle(darts)
         rotation.append(darts)
     signs = [rng.randint(0, 1) for _ in range(g.n_edges)]

@@ -48,15 +48,18 @@ class Multigraph:
             deg[w] += 1
         return tuple(deg)
 
+    def darts(self) -> tuple[tuple[int, ...], ...]:
+        """The darts at every vertex, each in increasing dart id order,
+        from one pass over the edges."""
+        out = [[] for _ in range(self.n_vertices)]
+        for e, (u, w) in enumerate(self.edges):
+            out[u].append(2 * e)
+            out[w].append(2 * e + 1)
+        return tuple(map(tuple, out))
+
     def darts_at(self, v: int) -> tuple[int, ...]:
         """All darts at v, in increasing dart id order."""
-        out = []
-        for e, (u, w) in enumerate(self.edges):
-            if u == v:
-                out.append(2 * e)
-            if w == v:
-                out.append(2 * e + 1)
-        return tuple(out)
+        return self.darts()[v]
 
 
 def build(n_vertices: int, edges) -> Multigraph:
@@ -310,6 +313,14 @@ def _least_labelings(g: Multigraph):
     return tuple(divmod(c, n) for c in best), minimizers
 
 
+def _check_cap(g: Multigraph, what: str) -> None:
+    """Raise TooLarge when g has more than MAX_VERTICES vertices;
+    ``what`` names the capped step."""
+    if g.n_vertices > MAX_VERTICES:
+        raise TooLarge(f"{g.n_vertices} vertices exceeds the {what} cap "
+                       f"{MAX_VERTICES}")
+
+
 def canonical_form(g: Multigraph):
     """Canonical label: (V, lexicographically least relabeled edge list).
 
@@ -318,10 +329,7 @@ def canonical_form(g: Multigraph):
     a pruned search (``_least_labelings``) finds it without trying them
     all.  Capped at MAX_VERTICES.
     """
-    if g.n_vertices > MAX_VERTICES:
-        raise TooLarge(
-            f"{g.n_vertices} vertices exceeds the canonical_form cap "
-            f"{MAX_VERTICES}")
+    _check_cap(g, "canonical_form")
     return (g.n_vertices, _least_labelings(g)[0])
 
 
@@ -345,10 +353,7 @@ def automorphisms(g: Multigraph):
     contains the identity pair and is closed under composition.  Capped
     at MAX_VERTICES.
     """
-    if g.n_vertices > MAX_VERTICES:
-        raise TooLarge(
-            f"{g.n_vertices} vertices exceeds the automorphisms cap "
-            f"{MAX_VERTICES}")
+    _check_cap(g, "automorphisms")
     _form, minimizers = _least_labelings(g)
     inverse = [0] * g.n_vertices
     for v, label in enumerate(minimizers[0]):

@@ -499,6 +499,29 @@ def test_closed_stdout_ends_quietly():
     assert proc.returncode == 0
 
 
+def test_eleven_loop_wedge_exits_3_in_bounded_memory(tmp_path):
+    # 21! * 2^11 schemes on its one component.  The budget check comes
+    # before the automorphisms, which would list 11! edge permutations
+    # (several GB): under a 512 MB address-space limit the run must
+    # still end with exit 3 and the budget line.
+    resource = pytest.importorskip("resource")
+    p = tmp_path / "wedge11.txt"
+    p.write_text(mg.format_graph("wedge11", mg.build(1, [(0, 0)] * 11)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "clstruct", "structures", "--input", str(p)],
+        capture_output=True, env=env, preexec_fn=limit, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == (
+        b"clstruct: error: 104634249567660933120000 schemes on a component"
+        b" exceed the budget 10000000\n")
+
+
 def test_five_loop_wedge_is_budgeted_and_pinned(tmp_path, capsys):
     # 9! * 2^5 = 11,612,160 schemes on its one component, over the
     # default budget
