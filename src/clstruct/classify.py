@@ -127,10 +127,16 @@ def _pack_signs(signs) -> int:
     return x
 
 
+def _bits(x: int, n_edges: int) -> str:
+    """The n_edges signs that ``_pack_signs`` packs to x, as a string of
+    0s and 1s (a leading 1 keeps the leading zeros, and gives "" when
+    n_edges = 0)."""
+    return f"{(1 << n_edges) | x:b}"[1:]
+
+
 def _unpack_signs(x: int, n_edges: int) -> tuple:
-    """The n_edges signs that ``_pack_signs`` packs to x (a leading 1
-    keeps the leading zeros, and gives () when n_edges = 0)."""
-    return tuple(map(int, f"{(1 << n_edges) | x:b}"[1:]))
+    """The n_edges signs that ``_pack_signs`` packs to x, as a tuple."""
+    return tuple(map(int, _bits(x, n_edges)))
 
 
 def generate_cubic_graphs(q: int) -> tuple:
@@ -379,18 +385,56 @@ def _lift(cycle, others) -> tuple:
 class StructureClass:
     """One equivalence class of realizable sign tables on a graph.
 
-    members are sorted sign tuples, the representative the first of
-    them; witness is the first rotation, in ``_rotations`` order, that
-    makes the representative a strip; surface describes the capped
-    surface of that strip (shared by all members on the cubic
-    catalogs).
+    tables holds the members packed by ``_pack_signs`` (edge 0 in the
+    top bit), ascending; ``members`` unpacks them into sign tuples on
+    each read, and the representative is the first of them.  witness is
+    the first rotation, in ``_rotations`` order, that makes the
+    representative a strip; surface describes the capped surface of
+    that strip (shared by all members on the cubic catalogs).
     """
 
     graph: Multigraph
     representative: tuple
-    members: tuple
+    tables: tuple
     witness: tuple
     surface: sch.SurfaceType
+
+    @property
+    def members(self) -> tuple:
+        """The sorted sign tuples of the class, unpacked from tables."""
+        return tuple([_unpack_signs(t, self.graph.n_edges)
+                      for t in self.tables])
+
+
+def _cycle_masks(g: Multigraph) -> list:
+    """One packed mask (edge 0 in the top bit) per fundamental cycle of
+    ``mg._spanning_tree(g)``, a loop being a cycle of its own.
+
+    The fundamental cycles span the cycle space, so a table is
+    orientable (flip-equivalent to all 0, as ``sch.is_orientable``
+    decides) iff it has even parity on every mask.
+    """
+    E = g.n_edges
+    tree, extra = mg._spanning_tree(g)
+    adj = [[] for _ in range(g.n_vertices)]
+    for e in tree:
+        u, v = g.edges[e]
+        adj[u].append((v, 1 << (E - 1 - e)))
+        adj[v].append((u, 1 << (E - 1 - e)))
+    path = [None] * g.n_vertices  # the tree path from a root, packed
+    for root in range(g.n_vertices):
+        if path[root] is not None:
+            continue
+        path[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, bit in adj[u]:
+                if path[v] is None:
+                    path[v] = path[u] ^ bit
+                    stack.append(v)
+    return [(1 << (E - 1 - e)) ^ path[g.edges[e][0]] ^ path[g.edges[e][1]]
+            for e in extra]
 
 
 def equivalence_classes(g: Multigraph, threads: int = 1,
@@ -402,16 +446,19 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     bridge coordinates.  Classes come sorted by representative
     (lexicographically least member).
 
-    A table's normal form takes it packed (``_pack_signs``), clears the
-    bridges and complements each component whose smallest edge is 1
-    (complementing a component flips only its own bits).  The classes
-    are the orbits of the automorphisms on normal forms, each computed
-    once.  Only the representatives get a witness
-    (``_witness_rotations``).  The vertex cap of the automorphisms
-    (``mg.MAX_VERTICES``) is checked first, then the cyclic part and
-    every component's budget (``_components``), and only then are the
-    automorphisms listed (k! edge permutations for k parallel edges)
-    and the components walked.
+    Tables stay packed (``_pack_signs``) from the search to the class:
+    a table's normal form clears the bridges and complements each
+    component whose smallest edge is 1 (complementing a component flips
+    only its own bits).  The classes are the orbits of the
+    automorphisms on normal forms, each computed once.  Only the
+    representatives are unpacked, for their witness
+    (``_witness_rotations``).  A representative is a strip under its
+    witness, so its surface has b = 1, and it is orientable iff it has
+    even parity on every fundamental cycle (``_cycle_masks``).  The
+    vertex cap of the automorphisms (``mg.MAX_VERTICES``) is checked
+    first, then the cyclic part and every component's budget
+    (``_components``), and only then are the automorphisms listed (k!
+    edge permutations for k parallel edges) and the components walked.
     """
     mg._check_cap(g, "automorphisms")
     parts, bridges = _components(g, budget)
@@ -447,15 +494,17 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
                 class_of[normal(int("".join(permute(text)), 2))] = x
         grouped.setdefault(class_of[x], []).append(t)
 
-    members = [tuple([_unpack_signs(t, E) for t in ts])
-               for ts in grouped.values()]
-    witnesses = _witness_rotations(g, parts, [m[0] for m in members])
+    # found ascends, so each list does, and its first table is the least
+    groups = sorted(grouped.values())
+    reps = [_unpack_signs(ts[0], E) for ts in groups]
+    witnesses = _witness_rotations(g, parts, reps)
+    masks = _cycle_masks(g)
+    surfaces = {o: sch._surface(g, 1, o) for o in (False, True)}
     classes = []
-    for m, w in zip(members, witnesses):
-        # the witness makes the representative a strip: b = 1, no trace
-        classes.append(StructureClass(g, m[0], m, w,
-                                      sch._surface(Scheme(g, w, m[0]), 1)))
-    classes.sort(key=lambda c: c.representative)
+    for ts, rep, w in zip(groups, reps, witnesses):
+        orientable = not any((ts[0] & m).bit_count() & 1 for m in masks)
+        classes.append(StructureClass(g, rep, tuple(ts), w,
+                                      surfaces[orientable]))
     return tuple(classes)
 
 
@@ -479,34 +528,65 @@ def catalog(q: int, threads: int = 1,
     return Catalog(q, tuple(graphs), per_graph, total)
 
 
-def _signs_str(signs) -> str:
-    return "".join(str(x) for x in signs)
-
-
 def catalog_to_json(cat: Catalog) -> str:
-    """Deterministic JSON rendering (byte-identical across runs)."""
+    """Deterministic JSON rendering (byte-identical across runs).
+
+    Members are written from their packed tables (``_Packed``), and the
+    text of each distinct witness cycle and each distinct surface is
+    laid out once per call (``_Once``).
+    """
+    cycles = {}
+    surfaces = {}
     graphs = []
     for g, classes in zip(cat.graphs, cat.classes):
         entries = []
         for c in classes:
+            rotation = []
+            for cyc in c.witness:
+                if cyc not in cycles:
+                    cycles[cyc] = _Once([sch.dart_name(h) for h in cyc])
+                rotation.append(cycles[cyc])
+            sf = c.surface
+            if sf not in surfaces:
+                surfaces[sf] = _Once({
+                    "orientable": sf.orientable,
+                    "euler_closed": sf.euler_closed,
+                    "genus_or_crosscaps": (sf.genus if sf.orientable
+                                           else sf.crosscaps),
+                })
             entries.append({
                 "representative_signs": c.representative,
-                "members": c.members,
-                "witness_rotation": [[sch.dart_name(h) for h in cyc]
-                                     for cyc in c.witness],
-                "surface": {
-                    "orientable": c.surface.orientable,
-                    "euler_closed": c.surface.euler_closed,
-                    "genus_or_crosscaps": (c.surface.genus
-                                           if c.surface.orientable
-                                           else c.surface.crosscaps),
-                },
+                "members": _Packed(c.tables, g.n_edges),
+                "witness_rotation": rotation,
+                "surface": surfaces[sf],
             })
         graphs.append({
             "canonical_edges": g.edges,
             "classes": entries,
         })
     return _json({"q": cat.q, "totals": cat.total, "graphs": graphs})
+
+
+class _Packed:
+    """Sign tables packed by ``_pack_signs``, which ``_write`` writes as
+    an array of arrays of ``width`` bits each."""
+
+    __slots__ = ("tables", "width")
+
+    def __init__(self, tables: tuple, width: int):
+        self.tables = tables
+        self.width = width
+
+
+class _Once:
+    """A value that recurs in a document: ``_write`` lays it out once
+    per indent and copies that text wherever it recurs."""
+
+    __slots__ = ("value", "texts")
+
+    def __init__(self, value):
+        self.value = value
+        self.texts = {}
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -525,7 +605,10 @@ def _json(doc) -> str:
     finite floats; any other type raises TypeError.  The writer recurses
     over dicts and arrays and joins an array of ints, or of other
     scalars, in one step; strings go through the C quoter that
-    ``json.dumps`` uses.
+    ``json.dumps`` uses.  Two kinds serve the catalog: ``_Packed`` sign
+    tables are written as the arrays of their bits (one join per
+    table), and a ``_Once`` value as ``json.dumps`` would write the
+    value it wraps, laid out once per indent.
     """
     out = []
     _write(doc, "\n", out)
@@ -580,6 +663,24 @@ def _write(x, nl: str, out: list) -> None:
                 _write(v, inner, out)
                 sep = "," + inner
             out.append(nl + "]")
+    elif t is _Packed:
+        tables, width = x.tables, x.width  # at least one table
+        inner = nl + "  "
+        if width:
+            bit = inner + "  "
+            head, sep, tail = "[" + bit, "," + bit, inner + "]"
+            fmt = f"0{width}b"
+            rows = [head + sep.join(format(t, fmt)) + tail for t in tables]
+        else:  # format(0, "00b") is "0", not ""
+            rows = ["[]"] * len(tables)
+        out.append("[" + inner + ("," + inner).join(rows) + nl + "]")
+    elif t is _Once:
+        text = x.texts.get(nl)
+        if text is None:
+            part = []
+            _write(x.value, nl, part)
+            text = x.texts[nl] = "".join(part)
+        out.append(text)
     else:
         out.append(_scalar(x))
 
@@ -594,9 +695,10 @@ def catalog_to_text(cat: Catalog) -> str:
              f"{cat.total} structure classes"]
     for gi, (g, classes) in enumerate(zip(cat.graphs, cat.classes)):
         lines.append(_graph_line(gi, g))
+        E = g.n_edges
         for ci, c in enumerate(classes):
-            members = " ".join(_signs_str(m) for m in c.members)
+            members = " ".join([_bits(t, E) for t in c.tables])
             lines.append(
-                f"  class {ci}: representative {_signs_str(c.representative)}"
+                f"  class {ci}: representative {_bits(c.tables[0], E)}"
                 f"; members {members}; {c.surface.capped_name}")
     return "\n".join(lines) + "\n"

@@ -183,7 +183,7 @@ def _cmd_structures(args) -> int:
 
 def _trace_doc(name, s):
     b = sch.boundary_trace(s).b
-    surface = sch._surface(s, b)
+    surface = sch._surface(s.graph, b, sch.is_orientable(s))
     strip = b == 1 if mg.is_cyclic_part(s.graph) else None
     return {
         "name": name,
@@ -569,10 +569,7 @@ def wedge_classes_reached(q, tables=None):
     tables = {} if tables is None else tables
     wedge = mg.build(1, [(0, 0)] * q)
     classes = classify.equivalence_classes(wedge)
-    index_of = {}
-    for i, c in enumerate(classes):
-        for m in c.members:
-            index_of[m] = i
+    index_of = {t: i for i, c in enumerate(classes) for t in c.tables}
     reached = set()
     seen = set()
     for strip in _all_schemes(qs=(q,)):
@@ -586,7 +583,7 @@ def wedge_classes_reached(q, tables=None):
                 continue
             seen.add(key)
             if s.graph.n_vertices == 1:
-                reached.add(index_of[s.signs])
+                reached.add(index_of[classify._pack_signs(s.signs)])
                 continue
             for e, (u, v) in enumerate(s.graph.edges):
                 if u != v and s.signs[e] == 0:

@@ -374,17 +374,15 @@ def is_orientable(s: Scheme) -> bool:
 def surface_type(s: Scheme) -> SurfaceType:
     """The patch invariants of s and its capped surface, from one
     boundary trace and ``is_orientable``.  Callers that already know
-    the boundary count (a strip has b = 1) use ``_surface`` and skip
-    the trace."""
-    return _surface(s, boundary_trace(s).b)
+    the boundary count (a strip has b = 1) or the orientability use
+    ``_surface`` and skip the trace or the 2-colouring."""
+    return _surface(s.graph, boundary_trace(s).b, is_orientable(s))
 
 
-def _surface(s: Scheme, b: int) -> SurfaceType:
-    """``surface_type`` of s, given that its patch has b boundary
-    circles."""
-    g = s.graph
+def _surface(g: Multigraph, b: int, orient: bool) -> SurfaceType:
+    """``surface_type`` of a scheme on g whose patch has b boundary
+    circles and is orientable iff ``orient``."""
     euler_patch = g.n_vertices - g.n_edges
-    orient = is_orientable(s)
     euler_closed = euler_patch + b
     if orient:
         genus = (2 - euler_closed) // 2

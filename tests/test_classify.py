@@ -244,6 +244,9 @@ def test_catalog_rank5():
     text = cf.catalog_to_json(cat)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         "fd0b7185abd859d7ecbcb02adf5083b49b3b6227a9bbe4fef6789c1b4cacf42a"
+    text = cf.catalog_to_text(cat)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "b614fe2670efa238ddfad4755eecab2daea81fa1ea620580640b67bc6a6c237c"
     for g, classes in zip(cat.graphs, cat.classes):
         for c in classes:
             s = sch.Scheme(g, c.witness, c.representative)
@@ -275,10 +278,60 @@ def test_catalog_json_is_deterministic_and_thread_safe():
         assert base == cf.catalog_to_json(cf.catalog(3, threads=threads))
 
 
-def test_rank4_catalog_json_digest():
-    text = cf.catalog_to_json(cf.catalog(4))
+@pytest.fixture(scope="module")
+def rank4_catalog():
+    return cf.catalog(4)
+
+
+def test_rank4_catalog_json_digest(rank4_catalog):
+    text = cf.catalog_to_json(rank4_catalog)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         "5edc1af61fc70a18149a44c76c26f09d6d44f9ed89a77c336016f6f6138e2001"
+
+
+def test_rank4_catalog_text_digest(rank4_catalog):
+    text = cf.catalog_to_text(rank4_catalog)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "3370cb2ebb5e449d44befb6a3cc3177380ae7cbe2b02f671269246332a0ac330"
+
+
+def graph_catalog(g):
+    """The one-graph catalog that ``structures --input`` writes."""
+    classes = cf.equivalence_classes(g)
+    return cf.Catalog(mg.cycle_rank(g), (g,), (classes,), len(classes))
+
+
+def plain_catalog_doc(cat):
+    """The catalog document built from the unpacked class fields, with
+    no packed tables and nothing shared between classes."""
+    def surface(sf):
+        return {"orientable": sf.orientable,
+                "euler_closed": sf.euler_closed,
+                "genus_or_crosscaps": (sf.genus if sf.orientable
+                                       else sf.crosscaps)}
+
+    return {"q": cat.q, "totals": cat.total, "graphs": [
+        {"canonical_edges": [list(e) for e in g.edges],
+         "classes": [{"representative_signs": list(c.representative),
+                      "members": [list(m) for m in c.members],
+                      "witness_rotation": [[f"{h >> 1}.{h & 1}" for h in cyc]
+                                           for cyc in c.witness],
+                      "surface": surface(c.surface)}
+                     for c in classes]}
+        for g, classes in zip(cat.graphs, cat.classes)]}
+
+
+def test_catalog_json_matches_json_dumps():
+    # the packed-table and laid-out-once kinds of the writer against
+    # json.dumps on the plain document; the point graph has tables of
+    # width 0
+    cats = [cf.catalog(q) for q in (1, 2, 3)]
+    cats += [graph_catalog(g) for g in (loops_each_end(2), wedge(3),
+                                        loops_each_end(3), mg.build(1, []))]
+    for cat in cats:
+        doc = plain_catalog_doc(cat)
+        assert cf.catalog_to_json(cat) == \
+            json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_catalog_json_schema():
@@ -413,7 +466,8 @@ def oracle_equivalence_classes(g):
     for members in grouped.values():
         witness = oracle_witness_rotation(g, members[0])
         rep = sch.Scheme(g, witness, members[0])
-        classes.append(cf.StructureClass(g, members[0], tuple(members),
+        tables = tuple(cf._pack_signs(m) for m in members)
+        classes.append(cf.StructureClass(g, members[0], tables,
                                          witness, sch.surface_type(rep)))
     classes.sort(key=lambda c: c.representative)
     return tuple(classes)
@@ -424,24 +478,49 @@ def rank4_graphs():
     return cf.generate_cubic_graphs(4)
 
 
-def test_coset_search_matches_per_table_oracle(rank4_graphs):
-    graphs = [g for q in (2, 3) for g in cf.generate_cubic_graphs(q)]
-    graphs += random.Random(4).sample(rank4_graphs, 3)
-    graphs += [wedge(2), wedge(3), mg.build(1, [])]
-    # cyclic parts with loops, bridges and vertices of degree > 3; the
-    # point graph they often reduce to is already in the list
+def seeded_cyclic_parts():
+    """100 seeded cyclic parts with loops, bridges and vertices of
+    degree > 3, each with an edge and at most 20,000 schemes."""
     rng = random.Random(11)
-    drawn = 0
-    while drawn < 100:
+    graphs = []
+    while len(graphs) < 100:
         g = mg.cyclic_part(cli.random_multigraph(rng, 5, 5)).graph
         if g.n_edges and cf.scheme_count(g) <= 20_000:
             graphs.append(g)
-            drawn += 1
+    return graphs
+
+
+def test_coset_search_matches_per_table_oracle(rank4_graphs):
+    graphs = [g for q in (2, 3) for g in cf.generate_cubic_graphs(q)]
+    graphs += random.Random(4).sample(rank4_graphs, 3)
+    # the point graph, which the seeded cyclic parts leave out
+    graphs += [wedge(2), wedge(3), mg.build(1, [])]
+    graphs += seeded_cyclic_parts()
     for g in graphs:
         assert cf.realizable_signs(g) == oracle_realizable_signs(g), g
         # every StructureClass field: representative, members,
         # witness and surface
         assert cf.equivalence_classes(g) == oracle_equivalence_classes(g), g
+
+
+def test_classes_hold_sorted_packed_tables_and_parity_surfaces(
+        rank4_catalog):
+    cases = list(zip(rank4_catalog.graphs, rank4_catalog.classes))
+    cases += [(g, cf.equivalence_classes(g)) for g in seeded_cyclic_parts()]
+    for g, classes in cases:
+        masks = cf._cycle_masks(g)
+        for c in classes:
+            members = c.members
+            assert members == tuple(sorted(members))
+            assert members[0] == c.representative
+            assert tuple(map(cf._pack_signs, members)) == c.tables
+            for m, t in zip(members, c.tables):
+                parity = not any((t & mask).bit_count() & 1
+                                 for mask in masks)
+                assert parity == sch.is_orientable(sch.Scheme(g, c.witness,
+                                                              m)), (g, m)
+            assert c.surface.orientable == \
+                sch.is_orientable(sch.Scheme(g, c.witness, members[0]))
 
 
 def test_coset_search_is_the_same_with_threads():

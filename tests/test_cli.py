@@ -443,6 +443,50 @@ def test_non_cubic_structures_json_is_pinned(tmp_path, capsys, text, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+POINT_TEXT = ("q = 0: 1 cubic graphs, 1 structure classes\n"
+              "graph 0: V=1 edges \n"
+              "  class 0: representative ; members ; sphere\n")
+
+POINT_JSON = """\
+{
+  "graphs": [
+    {
+      "canonical_edges": [],
+      "classes": [
+        {
+          "members": [
+            []
+          ],
+          "representative_signs": [],
+          "surface": {
+            "euler_closed": 2,
+            "genus_or_crosscaps": 0,
+            "orientable": true
+          },
+          "witness_rotation": [
+            []
+          ]
+        }
+      ]
+    }
+  ],
+  "q": 0,
+  "totals": 1
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, expected", [("text", POINT_TEXT),
+                                           ("json", POINT_JSON)],
+                         ids=["text", "json"])
+def test_point_graph_structures_are_pinned(tmp_path, capsys, fmt, expected):
+    # no edges: its one table has width 0, and format(0, "00b") is "0"
+    p = tmp_path / "pt.txt"
+    p.write_text("graph pt\nvertex 0\n")
+    assert cli.main(["structures", "--input", str(p), "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_non_cubic_witness_walk_is_budgeted(tmp_path, capsys):
     # every walk runs on a component: hub's have 3! * 2^2 = 24 schemes
     p = tmp_path / "hub.txt"
