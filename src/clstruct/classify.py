@@ -28,8 +28,11 @@ coset holds 2^(V-1) tables.  Per 2-connected component the 2^q tables
 that are 0 on a spanning tree represent the cosets; one walk over the
 rotations tests every representative still unrealized with a
 single-orbit strip test, and each realizable one contributes its whole
-coset.  Each class gets as witness the first rotation of the graph, in
-enumeration order, that makes its representative a strip.  The
+coset.  A component of odd q never realizes the zero coset (a strip
+caps to Euler characteristic 2 - q, and the zero coset is orientable),
+so its walk leaves it out and may stop before the last rotation.  Each
+class gets as witness the first rotation of the graph, in enumeration
+order, that makes its representative a strip.  The
 components share no vertex, so that rotation is found per component:
 one more walk over the component's rotations, for the distinct
 restrictions of the class representatives, then lifted into the graph
@@ -42,6 +45,7 @@ automorphisms are listed.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -217,11 +221,13 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     Works per 2-connected component and recombines: a scheme is a strip
     exactly when each component subscheme is one, so a sign table is
     realizable iff its restriction to every component is realizable on
-    that component, with bridge signs free.  On a component only the
-    2^q coset representatives (tables 0 on a spanning tree) are
-    searched, rotation-outer, and each realizable one stands for its
-    whole coset of vertex-flip toggles.  ``threads`` splits the
-    representatives over a thread pool.  Returns a sorted tuple.
+    that component, with bridge signs free.  On a component of cycle
+    rank c only the coset representatives (tables 0 on a spanning tree)
+    are searched, rotation-outer: 2^c of them, or 2^c - 1 when c is odd,
+    since then the zero coset is never realized.  Each realizable one
+    stands for its whole coset of vertex-flip toggles.  ``threads``
+    splits the representatives over a thread pool.  Returns a sorted
+    tuple.
     """
     parts, bridges = _components(g, budget)
     found = _realizable(g.n_edges, parts, bridges, threads)
@@ -268,8 +274,10 @@ def _component_realizable(n_edges: int, sub: Multigraph, emap: dict,
     to its 2-connected component ``sub`` (``emap`` sends the graph's edge
     ids to sub's), packed in the graph's coordinates (edge 0 in the top
     bit, 0 on every edge outside the component).  The walk over sub's
-    rotations ends once every coset representative has a strip
-    rotation; the caller has checked its budget."""
+    rotations ends once every coset representative has a strip rotation;
+    the caller has checked its budget.  The zero (orientable) coset is
+    left out when sub's cycle rank c is odd: a strip caps to Euler
+    characteristic 2 - c, and an orientable surface has an even one."""
     edge_bit = [1 << (n_edges - 1 - e) for e in emap]
     _tree, free = mg._spanning_tree(sub)
     reps = []
@@ -278,6 +286,7 @@ def _component_realizable(n_edges: int, sub: Multigraph, emap: dict,
         for e, x in zip(free, bits):
             signs[e] = x
         reps.append(tuple(signs))
+    del reps[:len(free) % 2]  # the zero coset comes first
 
     if threads <= 1 or len(reps) < 2 * threads:
         found = _strip_witnesses(sub, reps)
@@ -529,64 +538,89 @@ def catalog(q: int, threads: int = 1,
 
 
 def catalog_to_json(cat: Catalog) -> str:
-    """Deterministic JSON rendering (byte-identical across runs).
+    """Deterministic JSON rendering: the bytes ``_json`` gives the
+    catalog document, written in one flat pass into one list.
 
-    Members are written from their packed tables (``_Packed``), and the
-    text of each distinct witness cycle and each distinct surface is
-    laid out once per call (``_Once``).
+    The layout is fixed, so each class is the ``_CLASS`` template with
+    its keys in sorted order.  Members and representatives are joined
+    from lookup texts of their packed tables (``_bit_texts``), and the
+    text of each distinct witness rotation and surface is made once.
     """
-    cycles = {}
+    rotations = {}
     surfaces = {}
-    graphs = []
-    for g, classes in zip(cat.graphs, cat.classes):
-        entries = []
-        for c in classes:
-            rotation = []
-            for cyc in c.witness:
-                if cyc not in cycles:
-                    cycles[cyc] = _Once([sch.dart_name(h) for h in cyc])
-                rotation.append(cycles[cyc])
+    out = ['{\n  "graphs": [']
+    for gi, (g, classes) in enumerate(zip(cat.graphs, cat.classes)):
+        out.append(_GRAPH % ("," if gi else "", _write(g.edges, "\n      ")))
+        # each member's text opens with its "," separator; [1:] drops one
+        k, rows = _bit_texts([t for c in classes for t in c.tables],
+                             g.n_edges, "\n            ", ",\n            [")
+        k, reps = _bit_texts([c.tables[0] for c in classes], g.n_edges,
+                             "\n          ", "[")
+        end = 0
+        for ci, c in enumerate(classes):
+            start, end = end, end + k * len(c.tables)
+            if c.witness not in rotations:
+                rotations[c.witness] = _write(
+                    [list(map(sch.dart_name, cyc)) for cyc in c.witness],
+                    "\n          ")
             sf = c.surface
-            if sf not in surfaces:
-                surfaces[sf] = _Once({
-                    "orientable": sf.orientable,
-                    "euler_closed": sf.euler_closed,
-                    "genus_or_crosscaps": (sf.genus if sf.orientable
-                                           else sf.crosscaps),
-                })
-            entries.append({
-                "representative_signs": c.representative,
-                "members": _Packed(c.tables, g.n_edges),
-                "witness_rotation": rotation,
-                "surface": surfaces[sf],
-            })
-        graphs.append({
-            "canonical_edges": g.edges,
-            "classes": entries,
-        })
-    return _json({"q": cat.q, "totals": cat.total, "graphs": graphs})
+            key = (sf.euler_closed,
+                   sf.genus if sf.orientable else sf.crosscaps,
+                   sf.orientable)
+            if key not in surfaces:
+                surfaces[key] = _write(dict(zip(_SURFACE_KEYS, key)),
+                                       "\n          ")
+            out.append(_CLASS % ("," if ci else "",
+                                 "".join(rows[start:end])[1:],
+                                 "".join(reps[k * ci:k * ci + k]),
+                                 surfaces[key], rotations[c.witness]))
+        out.append("\n      ]\n    }" if classes else "]\n    }")
+    out.append("\n  ]" if cat.graphs else "]")
+    out.append(',\n  "q": %s,\n  "totals": %s\n}\n'
+               % (_scalar(cat.q), _scalar(cat.total)))
+    return "".join(out)
 
 
-class _Packed:
-    """Sign tables packed by ``_pack_signs``, which ``_write`` writes as
-    an array of arrays of ``width`` bits each."""
-
-    __slots__ = ("tables", "width")
-
-    def __init__(self, tables: tuple, width: int):
-        self.tables = tables
-        self.width = width
+# The catalog's fixed layout, keys in sorted order: a graph up to its
+# classes, then each class, whose member rows are never empty.
+_GRAPH = '%s\n    {\n      "canonical_edges": %s,\n      "classes": ['
+_CLASS = ('%s\n        {\n          "members": [%s\n          ],'
+          '\n          "representative_signs": %s,\n          "surface": %s,'
+          '\n          "witness_rotation": %s\n        }')
+_SURFACE_KEYS = ("euler_closed", "genus_or_crosscaps", "orientable")
 
 
-class _Once:
-    """A value that recurs in a document: ``_write`` lays it out once
-    per indent and copies that text wherever it recurs."""
+def _bit_texts(tables, width: int, nl: str, head: str) -> tuple:
+    """(k, texts): each k texts in turn write one of the tables, packed
+    by ``_pack_signs``, as the JSON array of its ``width`` bits opened
+    by head; nl is a newline and the indent of the array's last line.
+    The texts are those of ``_bit_chunks``, shared, not made per table.
+    """
+    chunks = _bit_chunks(width, nl, head)
+    k = len(chunks)
+    texts = [None] * (k * len(tables))
+    for i, (shift, table) in enumerate(chunks):
+        texts[i::k] = [table[t >> shift & 255] for t in tables]
+    return k, texts
 
-    __slots__ = ("value", "texts")
 
-    def __init__(self, value):
-        self.value = value
-        self.texts = {}
+@functools.lru_cache(maxsize=64)
+def _bit_chunks(width: int, nl: str, head: str) -> tuple:
+    """(shift, texts) per chunk of at most 8 bits of a ``width``-bit
+    table, the top chunk first: texts[v] writes the chunk's bits v, the
+    top chunk opening the array with head and the bottom chunk closing
+    it.  A table of width 0 is one chunk, the empty array."""
+    if not width:
+        return ((0, [head + "]"]),)
+    bit = "," + nl + "  "
+    chunks = []
+    for shift in range((width - 1) // 8 * 8, -1, -8):
+        n = min(width - shift, 8)
+        first = head + nl + "  " if shift + n == width else bit
+        last = "" if shift else nl + "]"
+        chunks.append((shift, [first + bit.join(_bits(v, n)) + last
+                               for v in range(1 << n)]))
+    return tuple(chunks)
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -605,15 +639,10 @@ def _json(doc) -> str:
     finite floats; any other type raises TypeError.  The writer recurses
     over dicts and arrays and joins an array of ints, or of other
     scalars, in one step; strings go through the C quoter that
-    ``json.dumps`` uses.  Two kinds serve the catalog: ``_Packed`` sign
-    tables are written as the arrays of their bits (one join per
-    table), and a ``_Once`` value as ``json.dumps`` would write the
-    value it wraps, laid out once per indent.
+    ``json.dumps`` uses.  ``catalog_to_json`` writes the same layout
+    for its one fixed document without building the document.
     """
-    out = []
-    _write(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    return _write(doc, "\n") + "\n"
 
 
 def _scalar(x) -> str:
@@ -629,60 +658,31 @@ def _scalar(x) -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _write(x, nl: str, out: list) -> None:
-    """Append the JSON text of x to out; nl is a newline followed by the
-    indent of the line x starts on."""
+def _array(texts: list, nl: str, brackets: str = "[]") -> str:
+    """A JSON array (or, with brackets "{}", object) of items already
+    written; nl is a newline and the indent of the line it starts on."""
+    if not texts:
+        return brackets
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(texts) + nl + brackets[1]
+
+
+def _write(x, nl: str) -> str:
+    """The JSON text of x; nl is a newline and the indent of the line x
+    starts on."""
     t = type(x)
+    inner = nl + "  "
     if t is dict:
-        if not x:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(x):
-            out.append(sep + _quote(key) + ": ")
-            _write(x[key], inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif t is list or t is tuple:
-        if not x:
-            out.append("[]")
-            return
-        inner = nl + "  "
+        return _array([_quote(key) + ": " + _write(x[key], inner)
+                       for key in sorted(x)], nl, "{}")
+    if t is list or t is tuple:
         types = set(map(type, x))
         if types == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x))
-                       + nl + "]")
-        elif types <= _SCALARS:
-            out.append("[" + inner + ("," + inner).join(map(_scalar, x))
-                       + nl + "]")
-        else:
-            sep = "[" + inner
-            for v in x:
-                out.append(sep)
-                _write(v, inner, out)
-                sep = "," + inner
-            out.append(nl + "]")
-    elif t is _Packed:
-        tables, width = x.tables, x.width  # at least one table
-        inner = nl + "  "
-        if width:
-            bit = inner + "  "
-            head, sep, tail = "[" + bit, "," + bit, inner + "]"
-            fmt = f"0{width}b"
-            rows = [head + sep.join(format(t, fmt)) + tail for t in tables]
-        else:  # format(0, "00b") is "0", not ""
-            rows = ["[]"] * len(tables)
-        out.append("[" + inner + ("," + inner).join(rows) + nl + "]")
-    elif t is _Once:
-        text = x.texts.get(nl)
-        if text is None:
-            part = []
-            _write(x.value, nl, part)
-            text = x.texts[nl] = "".join(part)
-        out.append(text)
-    else:
-        out.append(_scalar(x))
+            return _array(list(map(int.__repr__, x)), nl)
+        if types <= _SCALARS:  # the empty array too
+            return _array(list(map(_scalar, x)), nl)
+        return _array([_write(v, inner) for v in x], nl)
+    return _scalar(x)
 
 
 def _graph_line(i: int, g: Multigraph) -> str:

@@ -525,7 +525,12 @@ def suite_odd_rank_non_orientable(tables=None):
 def roundtrip_once(s, v, tree_shape="comb"):
     """expand_vertex followed by contracting its internal edges must
     restore the scheme exactly (ids included)."""
-    expanded = rd.expand_vertex(s, v, tree_shape)
+    return _contracts_back(s, rd.expand_vertex(s, v, tree_shape))
+
+
+def _contracts_back(s, expanded):
+    """Whether contracting the internal edges of ``expanded``, an
+    expansion of s, restores s exactly."""
     result = expanded
     for e in range(expanded.graph.n_edges - 1, s.graph.n_edges - 1, -1):
         result = rd.contract_unswitched(result, e)
@@ -538,9 +543,9 @@ def suite_round_trips(seed=0):
         for s in classify.enumerate_schemes(wedge):
             b = sch.boundary_trace(s).b
             for shape in ("comb", "balanced"):
-                if not roundtrip_once(s, 0, shape):
-                    return f"wedge round trip failed ({shape}, {s.signs})"
                 expanded = rd.expand_vertex(s, 0, shape)
+                if not _contracts_back(s, expanded):
+                    return f"wedge round trip failed ({shape}, {s.signs})"
                 if sch.boundary_trace(expanded).b != b:
                     return f"expansion changed b ({shape}, {s.signs})"
     rng = random.Random(seed)

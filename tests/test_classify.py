@@ -321,17 +321,41 @@ def plain_catalog_doc(cat):
         for g, classes in zip(cat.graphs, cat.classes)]}
 
 
-def test_catalog_json_matches_json_dumps():
-    # the packed-table and laid-out-once kinds of the writer against
-    # json.dumps on the plain document; the point graph has tables of
-    # width 0
+def cycle_graph(n):
+    return mg.build(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def test_catalog_json_matches_json_dumps(rank4_catalog):
+    # the flat catalog writer against json.dumps on the plain document:
+    # every catalog at q <= 3 and 3 seeded rank-4 graphs.  The point
+    # graph has tables of width 0 and the one-loop graph of width 1.
+    # Rank 4 and the 9-cycle (9 edges) cross the 8-bit chunks of the
+    # member lookup tables, and so does a 10-cycle with three loops (13
+    # edges; a 13-cycle is over the automorphisms' vertex cap).
+    looped_cycle = mg.build(10, cycle_graph(10).edges + ((0, 0), (3, 3),
+                                                        (6, 6)))
     cats = [cf.catalog(q) for q in (1, 2, 3)]
+    picks = random.Random(4).sample(range(len(rank4_catalog.graphs)), 3)
+    cats.append(cf.Catalog(4, tuple(rank4_catalog.graphs[i] for i in picks),
+                           tuple(rank4_catalog.classes[i] for i in picks),
+                           sum(len(rank4_catalog.classes[i]) for i in picks)))
     cats += [graph_catalog(g) for g in (loops_each_end(2), wedge(3),
-                                        loops_each_end(3), mg.build(1, []))]
+                                        loops_each_end(3), mg.build(1, []),
+                                        wedge(1), cycle_graph(9),
+                                        looped_cycle)]
     for cat in cats:
         doc = plain_catalog_doc(cat)
         assert cf.catalog_to_json(cat) == \
             json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # tables of one, two and three chunks, on either side of each edge
+    rng = random.Random(5)
+    for width in range(26):
+        tables = [0, (1 << width) - 1] + [rng.getrandbits(width)
+                                          for _ in range(20)]
+        k, texts = cf._bit_texts(tables, width, "\n", "[")
+        assert ["".join(texts[i:i + k]) for i in range(0, len(texts), k)] \
+            == [json.dumps(cf._unpack_signs(t, width), indent=2)
+                for t in tables]
 
 
 def test_catalog_json_schema():
@@ -594,6 +618,62 @@ def test_component_coset_closed_forms(rank4_graphs):
                 if c % 2:
                     assert (0,) * sub.n_edges not in realizable, sub
     assert {1, 2, 3, 4} <= ranks
+
+
+def test_zero_coset_is_never_tested_at_odd_component_rank(monkeypatch,
+                                                         rank4_graphs):
+    # every strip test's component, read off its turn table: the
+    # rotation's cycles are its vertices, the signs its edges
+    kernel = sch._single_orbit_strip
+    tested = []
+
+    def recorded(turn, signs):
+        n_darts = len(turn) // 2
+        seen, n_vertices = set(), 0
+        for h in range(n_darts):
+            if h not in seen:
+                n_vertices += 1
+                while h not in seen:
+                    seen.add(h)
+                    h = turn[2 * h] // 2
+        rank = len(signs) - n_vertices + 1
+        tested.append((rank, any(signs)))
+        return kernel(turn, signs)
+
+    monkeypatch.setattr(sch, "_single_orbit_strip", recorded)
+    graphs = [wedge(1), wedge(2), wedge(3), loops_each_end(2)]
+    graphs += [g for q in (2, 3) for g in cf.generate_cubic_graphs(q)]
+    graphs += list(rank4_graphs) + seeded_cyclic_parts()[:30]
+    for g in graphs:
+        cf.realizable_signs(g)
+        cf.equivalence_classes(g)
+    # the recorder sees both ranks; the zero table only at even rank
+    assert (3, True) in tested and (4, False) in tested
+    assert not [rank for rank, nonzero in tested
+                if rank % 2 and not nonzero]
+
+
+def test_odd_rank_walk_stops_once_the_nonzero_cosets_are_found(
+        monkeypatch):
+    # a bridgeless rank-5 graph that realizes all 31 nonzero cosets
+    # finds them before the last of its 2^8 rotations
+    make_turn = sch._turn_table
+    turns = [0]  # one turn table per rotation walked
+
+    def counted(n_darts, rotation):
+        turns[0] += 1
+        return make_turn(n_darts, rotation)
+
+    monkeypatch.setattr(sch, "_turn_table", counted)
+    for g in cf.generate_cubic_graphs(5):
+        if mg.bridges_and_components(g).bridges:
+            continue
+        turns[0] = 0
+        found = cf.realizable_signs(g)
+        if len(found) == 31 << (g.n_vertices - 1):
+            assert turns[0] < sum(1 for _ in cf._rotations(g))
+            return
+    raise AssertionError("no bridgeless rank-5 graph realizes 31 cosets")
 
 
 # --- witnesses per component, against the whole-graph oracle ---
