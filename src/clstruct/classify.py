@@ -30,18 +30,15 @@ rotations tests every representative still unrealized with a
 single-orbit strip test, and each realizable one contributes its whole
 coset.  A component of odd q never realizes the zero coset (a strip
 caps to Euler characteristic 2 - q, and the zero coset is orientable),
-so its walk leaves it out and may stop before the last rotation.  Each
-class gets as witness the first rotation of the graph, in enumeration
-order, that makes its representative a strip.  The
-components share no vertex, so that rotation is found per component:
-one more walk over the component's rotations, for the distinct
-restrictions of the class representatives, then lifted into the graph
-a vertex at a time.  Each component is restricted once
-(``mg._restrict``), and its graph and maps serve both walks and the
-class keys.  Every walk runs on a component, and the budget bounds
-each of them (``_check_walk``): every component is checked
-(``_components``) before the first strip test, and before the graph's
-automorphisms are listed.
+so its walk leaves it out and may stop before the last rotation.
+Classes are orbits on normal forms (``equivalence_classes``), and each
+gets as witness the first rotation of the graph, in enumeration order,
+that makes its representative a strip, found per component (they share
+no vertex) by one more walk and lifted into the graph.  Each component
+is restricted once (``mg._restrict``), for both walks and the class
+keys.  The budget bounds every walk (``_check_walk``): each component
+is checked (``_components``) before the first strip test and before
+the graph's automorphisms are listed.
 """
 from __future__ import annotations
 
@@ -51,7 +48,6 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from operator import itemgetter
 
 from . import multigraph as mg
 from . import scheme as sch
@@ -64,6 +60,7 @@ DEFAULT_BUDGET = 10_000_000
 
 #: Largest cycle rank generate_cubic_graphs and catalog accept.
 MAX_Q = 5
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # sign digits to sign bytes
 
 
 def scheme_count(g: Multigraph) -> int:
@@ -140,7 +137,7 @@ def _bits(x: int, n_edges: int) -> str:
 
 def _unpack_signs(x: int, n_edges: int) -> tuple:
     """The n_edges signs that ``_pack_signs`` packs to x, as a tuple."""
-    return tuple(map(int, _bits(x, n_edges)))
+    return tuple(_bits(x, n_edges).encode().translate(_DIGITS))
 
 
 def generate_cubic_graphs(q: int) -> tuple:
@@ -226,12 +223,17 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     are searched, rotation-outer: 2^c of them, or 2^c - 1 when c is odd,
     since then the zero coset is never realized.  Each realizable one
     stands for its whole coset of vertex-flip toggles.  ``threads``
-    splits the representatives over a thread pool.  Returns a sorted
-    tuple.
+    splits the representatives over a thread pool.  Returns them sorted.
     """
     parts, bridges = _components(g, budget)
-    found = _realizable(g.n_edges, parts, bridges, threads)
-    return tuple(_unpack_signs(t, g.n_edges) for t in found)
+    E = g.n_edges
+    found = [0]
+    for sub, _vmap, emap in parts:
+        mine = _component_realizable(E, sub, emap, threads)
+        found = [x | y for x in found for y in mine]
+    for e in bridges:
+        found += [x | 1 << (E - 1 - e) for x in found]
+    return tuple([_unpack_signs(t, E) for t in sorted(found)])
 
 
 def _components(g: Multigraph, budget: int | None):
@@ -249,23 +251,6 @@ def _components(g: Multigraph, budget: int | None):
     for sub, _vmap, _emap in parts:
         _check_walk(sub, budget, "a component")
     return parts, decomp.bridges
-
-
-def _realizable(n_edges: int, parts, bridges, threads: int) -> list:
-    """The realizable tables of a graph with ``n_edges`` edges, packed
-    by ``_pack_signs``, as a sorted list; ``parts`` and ``bridges`` are
-    its components and bridges as ``_components`` gives them."""
-    choices = [_component_realizable(n_edges, sub, emap, threads)
-               for sub, _vmap, emap in parts]
-    bridge_values = [0]
-    for e in bridges:
-        bridge_values += [x | 1 << (n_edges - 1 - e) for x in bridge_values]
-    found = []
-    for picks in itertools.product(*choices):
-        table = sum(picks)
-        found += [table | x for x in bridge_values]
-    found.sort()
-    return found
 
 
 def _component_realizable(n_edges: int, sub: Multigraph, emap: dict,
@@ -315,13 +300,17 @@ def _strip_witnesses(g: Multigraph, tables) -> dict:
     that makes it a strip; tables no rotation makes a strip are absent.
 
     Rotation-outer: one turn table per rotation serves every table
-    still without a witness, and the walk ends once none is left.
+    still without a witness, and the walk ends once none is left.  A
+    rotation is skipped when its mirror image (every order reversed:
+    the same boundary count) comes earlier.
     """
     pending = list(tables)
     witnesses = {}
     for rotation in _rotations(g):
         if not pending:
             break
+        if rotation[0][:0:-1] < rotation[0][1:]:  # vertex 0 is the slowest
+            continue
         turn = sch._turn_table(g.n_darts, rotation)
         still = []
         for signs in pending:
@@ -338,33 +327,31 @@ def _witness_rotations(g: Multigraph, parts, tables) -> list:
     of the realizable ``tables`` (sign tuples) a strip; ``parts`` are
     g's 2-connected components as ``_components`` restricted them.
 
-    A scheme is a strip iff each component subscheme is one.  The
-    components share no vertex, and a component subscheme sees only the
-    cyclic order its own darts take at each of its vertices.  So the
-    strip rotations of g are a product over disjoint sets of vertices,
-    one factor per component and one free factor per vertex in no
-    component, and the first of them puts together the first of each
-    factor.  A vertex in no component takes its first option.  A
-    component's factor is found on the component itself: its first
-    strip rotation (``_strip_witnesses``, once per distinct
-    restriction), each vertex's order lifted by ``_lift``.
+    A scheme is a strip iff each component subscheme is one, and that
+    sees only the cyclic order of its component's darts at each vertex.
+    The components share no vertex, so g's first strip rotation joins
+    each component's first (``_strip_witnesses``, once per distinct
+    restriction), lifted by ``_lift``, to the first option at every
+    other vertex; each distinct combination is joined once.
     """
     first = g.darts()
-    rotations = [list(first) for _ in tables]
-    for sub, vmap, emap in parts:
-        edges = list(emap)  # the edges of g, in the order of sub's ids
-        restricted = [tuple([lam[e] for e in edges]) for lam in tables]
+    keys = [()] * len(tables)  # per table, its components' witnesses
+    for sub, _vmap, emap in parts:  # emap lists g's edges in sub's order
+        restricted = [tuple([lam[e] for e in emap]) for lam in tables]
         walked = _strip_witnesses(sub, dict.fromkeys(restricted))
-        lifted = {}  # (vertex of g, order at it in sub) -> option of g
-        for rotation, lam in zip(rotations, restricted):
-            for v, i in vmap.items():
-                order = walked[lam][i]
-                if (v, order) not in lifted:
+        keys = [key + (walked[lam],) for key, lam in zip(keys, restricted)]
+    rotations = {}  # the components' strip rotations -> rotation of g
+    for key in keys:
+        if key not in rotations:
+            rotation = list(first)
+            for (_sub, vmap, emap), walk in zip(parts, key):
+                edges = list(emap)
+                for v, i in vmap.items():
                     others = [h for h in first[v] if h >> 1 not in emap]
-                    lifted[v, order] = _lift([2 * edges[h >> 1] + (h & 1)
-                                              for h in order], others)
-                rotation[v] = lifted[v, order]
-    return [tuple(r) for r in rotations]
+                    rotation[v] = _lift([2 * edges[h >> 1] + (h & 1)
+                                         for h in walk[i]], others)
+            rotations[key] = tuple(rotation)
+    return [rotations[key] for key in keys]
 
 
 def _lift(cycle, others) -> tuple:
@@ -455,11 +442,12 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     bridge coordinates.  Classes come sorted by representative
     (lexicographically least member).
 
-    Tables stay packed (``_pack_signs``) from the search to the class:
-    a table's normal form clears the bridges and complements each
-    component whose smallest edge is 1 (complementing a component flips
-    only its own bits).  The classes are the orbits of the
-    automorphisms on normal forms, each computed once.  Only the
+    Tables stay packed (``_pack_signs``).  A table's normal form clears
+    the bridges and complements each component whose least edge is 1.
+    The walk is over normal forms, not tables: a component's forms come
+    from its realizable restrictions, the graph's are their sums, and a
+    class is an orbit of the automorphisms on forms, listed once.  Its
+    members are the realizable preimages of its forms.  Only the
     representatives are unpacked, for their witness
     (``_witness_rotations``).  A representative is a strip under its
     witness, so its surface has b = 1, and it is orientable iff it has
@@ -472,48 +460,60 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     mg._check_cap(g, "automorphisms")
     parts, bridges = _components(g, budget)
     eperms = {ep for (_vp, ep) in mg.automorphisms(g)}
-    found = _realizable(g.n_edges, parts, bridges, threads)
     E = g.n_edges
-    # (bit of the smallest edge, bits of all edges) per component
-    comp_bits = [(1 << (E - 1 - min(emap)),
-                  sum(1 << (E - 1 - e) for e in emap))
-                 for _sub, _vmap, emap in parts]
-    kept = sum(bits for _top, bits in comp_bits)  # every edge but bridges
-    # the point graph has no edge to permute
-    permuters = [itemgetter(*ep) for ep in eperms if ep]
+    comps = []  # (bit of the least edge, bits of all edges, realizable)
+    normals = [0]
+    for sub, _vmap, emap in parts:
+        top = 1 << (E - 1 - min(emap))
+        bits = sum(1 << (E - 1 - e) for e in emap)
+        found = set(_component_realizable(E, sub, emap, threads))
+        comps.append((top, bits, found))
+        mine = {t ^ bits if t & top else t for t in found}
+        normals = [x | y for x in normals for y in mine]
 
-    def normal(x):
-        """x with bridges cleared, each component's least edge made 0."""
-        x &= kept
-        for top, bits in comp_bits:
-            if x & top:
-                x ^= bits
-        return x
+    # An automorphism then the normal form is linear over GF(2) on forms:
+    # a bit goes to its image, or from a component's least edge to the
+    # rest of the component.  images[k] packs bit k's images under all
+    # but the identity, E bits each; tables sums them per 4-bit chunk.
+    lowest = {top: bits ^ top for top, bits, _found in comps}
+    to = [lowest.get(1 << k, 1 << k) for k in range(E - 1, -1, -1)]
+    perms = [ep for ep in eperms if ep != tuple(range(E))]
+    images = [0] * E
+    for i, ep in enumerate(perms):
+        for new, old in enumerate(ep):
+            images[E - 1 - old] |= to[new] << (E * i)
+    tables = []
+    for shift in range(0, E, 4):
+        t = [0]
+        for b in images[shift:shift + 4]:
+            t += [y ^ b for y in t]
+        tables.append((shift, t))
+    mask, shifts = (1 << E) - 1, [E * i for i in range(len(perms))]
 
-    # Classes are the orbits of the automorphisms on normal forms; an
-    # orbit is listed once, when its first table comes up.
-    class_of = {}
-    grouped = {}
-    for t in found:
-        x = normal(t)
-        if x not in class_of:
-            class_of[x] = x
-            text = f"{t:0{E}b}"
-            for permute in permuters:
-                class_of[normal(int("".join(permute(text)), 2))] = x
-        grouped.setdefault(class_of[x], []).append(t)
-
-    # found ascends, so each list does, and its first table is the least
-    groups = sorted(grouped.values())
+    seen, groups = set(), []
+    for x in normals:
+        if x in seen:
+            continue
+        img = 0
+        for shift, t in tables:
+            img ^= t[x >> shift & 15]
+        orbit = {x, *[img >> i & mask for i in shifts]}
+        seen |= orbit
+        ts = list(orbit)  # each component as it is or complemented
+        for _top, bits, found in comps:
+            ts = [z for y in ts for z in (y, y ^ bits) if z & bits in found]
+        for e in bridges:
+            ts += [y | 1 << (E - 1 - e) for y in ts]
+        groups.append(sorted(ts))
+    groups.sort()  # by representative: each class's least member
     reps = [_unpack_signs(ts[0], E) for ts in groups]
     witnesses = _witness_rotations(g, parts, reps)
     masks = _cycle_masks(g)
     surfaces = {o: sch._surface(g, 1, o) for o in (False, True)}
     classes = []
     for ts, rep, w in zip(groups, reps, witnesses):
-        orientable = not any((ts[0] & m).bit_count() & 1 for m in masks)
-        classes.append(StructureClass(g, rep, tuple(ts), w,
-                                      surfaces[orientable]))
+        odd = any((ts[0] & m).bit_count() & 1 for m in masks)
+        classes.append(StructureClass(g, rep, tuple(ts), w, surfaces[not odd]))
     return tuple(classes)
 
 

@@ -5,11 +5,12 @@ Vertices are dense integers ``0..V-1``.  Edge ``e`` with endpoints
 ``2e + 1`` at ``v``.  A loop owns two distinct darts at the same vertex
 and therefore contributes 2 to the degree.
 
-Everything here targets small instances.  Canonical forms and
-automorphism groups come from one exact labeling search, pruned by
-prefix bounds, that finds the lexicographically least relabeled edge
-list and every relabeling reaching it; it keeps a ten-vertex cap
-(``MAX_VERTICES``).  Nothing else here is meant to scale.
+Everything here targets small instances.  Canonical forms come from
+an exact labeling search, pruned by prefix bounds, that finds the
+lexicographically least relabeled edge list; automorphism groups from a
+backtracking search that extends a vertex map along a breadth-first
+order.  Both keep a ten-vertex cap (``MAX_VERTICES``).  Nothing else
+here is meant to scale.
 """
 from __future__ import annotations
 
@@ -228,17 +229,15 @@ def _spanning_tree(g: Multigraph):
     return tree, extra
 
 
-# --- isomorphism machinery (one pruned labeling search) ---
+# --- isomorphism machinery (two pruned searches) ---
 
-def _least_labelings(g: Multigraph):
-    """Lex-least relabeled edge list and every relabeling that reaches it.
+def _least_form(g: Multigraph) -> tuple:
+    """The lex-least relabeled edge list.
 
     A relabeling hands out new ids block by block in ascending degree
     order, so any two isomorphic graphs range over the same relabeled
     edge lists; the least sorted list of ``(min, max)`` pairs is the
-    canonical form.  Returns ``(form, minimizers)`` with each minimizer
-    a tuple ``phi`` (``phi[v]`` is the new id of v); the minimizers are
-    one coset of the automorphism group.
+    canonical form.
 
     Labels 0, 1, ... are assigned one at a time, each to an unlabeled
     vertex of the degree block it belongs to.  Once labels ``< k`` are
@@ -250,7 +249,11 @@ def _least_labelings(g: Multigraph):
     bound is worse than the best complete list is dropped.  When some
     candidate for label k is joined to ``a``, only the candidates with
     the most edges to ``a`` are tried: any other puts a larger entry at
-    that position.  Ties are kept.  Edge ``(x, y)`` is coded ``x*n + y``.
+    that position.  Ties are kept, but two complete labelings that give
+    the same list differ by an automorphism, and a candidate that such
+    an automorphism, fixing every labeled vertex, takes from a tried one
+    is skipped: its branch gives the same lists.  Edge ``(x, y)`` is
+    coded ``x*n + y``.
     """
     n = g.n_vertices
     deg = g.degrees()
@@ -262,25 +265,27 @@ def _least_labelings(g: Multigraph):
     label_deg = sorted(deg)
     lab = [-1] * n
     order = []
-    best = None
-    minimizers = []
+    best = best_order = None
+    auts = []  # automorphisms found at ties, as lists p with v -> p[v]
 
-    def search(k):
-        nonlocal best
-        prefix = []
+    def search(k, done, start):
+        """done: the rows of order[:start], complete at the caller."""
+        nonlocal best, best_order
+        prefix = done
         a = -1
-        for x, u in enumerate(order):
+        for x in range(start, k):
             row = []
-            for w, m in nbrs[u].items():
+            for w, m in nbrs[order[x]].items():
                 y = lab[w]
                 if y < 0:
                     a = x
                 elif y >= x:
                     row += [x * n + y] * m
             row.sort()
-            prefix += row
+            prefix = prefix + row
             if a >= 0:
                 break
+            done, start = prefix, x + 1
         if best is not None:
             m = len(prefix)
             head = best[:m]
@@ -292,25 +297,91 @@ def _least_labelings(g: Multigraph):
                     return
         if k == n:
             if best is None or prefix < best:
-                best = prefix
-                minimizers.clear()
-            minimizers.append(tuple(lab))
+                best, best_order = prefix, order[:]
+            elif prefix == best:
+                p = [0] * n
+                for v, w in zip(order, best_order):
+                    p[v] = w
+                auts.append(p)
             return
         cands = [v for v in range(n) if lab[v] < 0 and deg[v] == label_deg[k]]
         if a >= 0:
-            at_a = nbrs[order[a]]
-            top = max(at_a.get(v, 0) for v in cands)
+            joins = [nbrs[order[a]].get(v, 0) for v in cands]
+            top = max(joins)
             if top:
-                cands = [v for v in cands if at_a.get(v, 0) == top]
+                cands = [v for v, m in zip(cands, joins) if m == top]
+        tried = set()
         for v in cands:
+            if v in tried:
+                continue
             lab[v] = k
             order.append(v)
-            search(k + 1)
+            search(k + 1, done, start)
             order.pop()
             lab[v] = -1
+            tried.add(v)
+            if auts and len(tried) < len(cands):  # skip v's images
+                fixing = [p for p in auts if all(p[u] == u for u in order)]
+                stack = [v]
+                while stack:
+                    x = stack.pop()
+                    for p in fixing:
+                        if p[x] not in tried:
+                            tried.add(p[x])
+                            stack.append(p[x])
 
-    search(0)
-    return tuple(divmod(c, n) for c in best), minimizers
+    search(0, [], 0)
+    return tuple(divmod(c, n) for c in best)
+
+
+def _vertex_automorphisms(g: Multigraph) -> list:
+    """Every vertex permutation ``phi`` (v goes to ``phi[v]``) that
+    keeps the number of edges between every two vertices, ascending.
+
+    The vertices are placed in breadth-first order, so each one after
+    the first of its piece goes to a neighbour of its parent's image.
+    A candidate must have as many loops as the vertex, the same
+    multiplicities, sorted, and the same ones to every vertex placed
+    before it.
+    """
+    n = g.n_vertices
+    mult = [[0] * n for _ in range(n)]
+    for u, w in g.edges:
+        mult[u][w] += 1
+        if u != w:
+            mult[w][u] += 1
+    profile = [sorted(row) for row in mult]
+    order, parent = [], [-1] * n
+    for root in range(n):
+        if root in order:
+            continue
+        queue = [root]
+        for u in queue:  # the queue grows as it is walked
+            for w in range(n):
+                if mult[u][w] and w not in queue:
+                    parent[w] = u
+                    queue.append(w)
+        order += queue
+    phi, used, out = [-1] * n, [False] * n, []
+
+    def extend(k):
+        if k == n:
+            out.append(tuple(phi))
+            return
+        u = order[k]
+        row = mult[u]
+        cands = range(n) if parent[u] < 0 else [
+            x for x in range(n) if mult[phi[parent[u]]][x]]
+        for x in cands:
+            if used[x] or mult[x][x] != row[u] or profile[x] != profile[u] \
+                    or any(row[w] != mult[x][phi[w]] for w in order[:k]):
+                continue
+            phi[u], used[x] = x, True
+            extend(k + 1)
+            used[x] = False
+
+    extend(0)
+    return sorted(out)
 
 
 def _check_cap(g: Multigraph, what: str) -> None:
@@ -326,11 +397,11 @@ def canonical_form(g: Multigraph):
 
     Equal exactly for isomorphic graphs.  The least list is taken over
     the relabelings that number the vertices in ascending degree order;
-    a pruned search (``_least_labelings``) finds it without trying them
+    a pruned search (``_least_form``) finds it without trying them
     all.  Capped at MAX_VERTICES.
     """
     _check_cap(g, "canonical_form")
-    return (g.n_vertices, _least_labelings(g)[0])
+    return (g.n_vertices, _least_form(g))
 
 
 def isomorphic(g: Multigraph, h: Multigraph) -> bool:
@@ -345,42 +416,35 @@ def isomorphic(g: Multigraph, h: Multigraph) -> bool:
 def automorphisms(g: Multigraph):
     """All automorphisms as (vertex permutation, edge permutation) pairs.
 
-    The vertex permutations are ``phi0^-1 . phi`` over the relabelings
-    ``phi`` that reach the canonical form (``phi0`` the first of them),
-    in ascending order, so the identity comes first.  Each is paired
+    The vertex permutations are those of ``_vertex_automorphisms``, in
+    ascending order, so the identity comes first.  Each is paired
     with every edge bijection that respects it: parallel edges may be
     permuted freely within their endpoint class.  The result always
     contains the identity pair and is closed under composition.  Capped
     at MAX_VERTICES.
     """
     _check_cap(g, "automorphisms")
-    _form, minimizers = _least_labelings(g)
-    inverse = [0] * g.n_vertices
-    for v, label in enumerate(minimizers[0]):
-        inverse[label] = v
-    vperms = sorted(tuple(inverse[label] for label in phi)
-                    for phi in minimizers)
+    vperms = _vertex_automorphisms(g)
 
     by_pair = defaultdict(list)
     for e, (u, v) in enumerate(g.edges):
-        by_pair[tuple(sorted((u, v)))].append(e)
-    pairs = sorted(by_pair)
+        by_pair[(u, v) if u <= v else (v, u)].append(e)
+    parallel = [p for p in sorted(by_pair) if len(by_pair[p]) > 1]
     out = []
     for phi in vperms:
         image = defaultdict(list)
         for e, (u, v) in enumerate(g.edges):
-            image[tuple(sorted((phi[u], phi[v])))].append(e)
-        # per endpoint class, all ways to assign sources onto targets
-        options = []
-        for p in pairs:
-            sources = image[p]
-            targets = by_pair[p]
-            options.append([tuple(zip(sources, pi))
-                            for pi in itertools.permutations(targets)])
-        for choice in itertools.product(*options):
-            eperm = [None] * g.n_edges
-            for group in choice:
-                for (src, dst) in group:
+            x, y = phi[u], phi[v]
+            image[(x, y) if x <= y else (y, x)].append(e)
+        eperm = [None] * g.n_edges
+        for p, targets in by_pair.items():  # the one way of a single edge
+            eperm[image[p][0]] = targets[0]
+        # per class of parallel edges, all ways to assign sources onto
+        # targets
+        for choice in itertools.product(*[itertools.permutations(by_pair[p])
+                                          for p in parallel]):
+            for p, targets in zip(parallel, choice):
+                for src, dst in zip(image[p], targets):
                     eperm[src] = dst
             out.append((phi, tuple(eperm)))
     return tuple(out)

@@ -108,10 +108,11 @@ def _turn_table(n_darts: int, rotation) -> list:
     """Next state after turning around a vertex disk, by entry state."""
     turn = [0] * (2 * n_darts)
     for cyc in rotation:
-        n = len(cyc)
-        for j, h in enumerate(cyc):
-            turn[2 * h] = 2 * cyc[(j + 1) % n]
-            turn[2 * h + 1] = 2 * cyc[j - 1] + 1
+        prev = cyc[-1] if cyc else 0
+        for h in cyc:  # prev is h's predecessor, h prev's successor
+            turn[2 * prev] = 2 * h
+            turn[2 * h + 1] = 2 * prev + 1
+            prev = h
     return turn
 
 
@@ -127,14 +128,12 @@ def _single_orbit_strip(turn, signs) -> bool:
     n_darts = len(turn) >> 1
     if not n_darts:
         return True
-    st = turn[2 ^ signs[0]]
-    steps = 1
-    while st:
-        if steps == n_darts:
-            return False
+    st = 0
+    for steps in range(1, n_darts + 1):
         st = turn[st ^ 2 ^ signs[st >> 2]]
-        steps += 1
-    return steps == n_darts
+        if not st:
+            return steps == n_darts
+    return False
 
 
 def boundary_trace(s: Scheme) -> BoundaryTrace:

@@ -187,7 +187,7 @@ def test_labeling_cap_is_ten_vertices():
     assert len(mg.automorphisms(ten)) == 20
 
 
-# --- brute-force oracle for the labeling search ---
+# --- brute-force oracle for the labeling and automorphism searches ---
 
 def _block_maps(g, targets):
     """Every map sending the degree blocks of g (ascending degree) onto
