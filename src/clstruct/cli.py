@@ -414,18 +414,20 @@ def _boundary_table(tables, g):
     return rows
 
 
-def _traced_b(tables, s):
-    """The boundary count of s, read from the table of its graph; None
-    when s is not one of the schemes enumerated there."""
-    row = _boundary_table(tables, s.graph).get(s.rotation)
-    if row is None:
-        return None
-    return row[classify._pack_signs(s.signs)]
-
-
-def _all_schemes(qs=(2, 3)):
+def _tabled_graphs(tables, qs=(2, 3)):
+    """(g, rows) per cubic graph g of the ranks qs, rows being its
+    boundary table (see ``_boundary_table``), fetched once per graph."""
     for g in _all_graphs(qs):
-        yield from classify.enumerate_schemes(g)
+        yield g, _boundary_table(tables, g)
+
+
+def _orientable(memo, t, s):
+    """``sch.is_orientable(s)``, made once per packed sign table t of
+    one graph and kept in that graph's dict ``memo``."""
+    orient = memo.get(t)
+    if orient is None:
+        orient = memo[t] = sch.is_orientable(s)
+    return orient
 
 
 def suite_closed_forms():
@@ -453,42 +455,50 @@ def suite_closed_forms():
 
 def suite_tracer_vs_oracle(tables=None):
     tables = {} if tables is None else tables
-    for s in _all_schemes():
-        if _traced_b(tables, s) != sch.oracle_boundary_count(s):
-            return f"tracer/oracle mismatch on {s.graph.edges} {s.signs}"
+    for g, rows in _tabled_graphs(tables):
+        for s in classify.enumerate_schemes(g):
+            if rows[s.rotation][classify._pack_signs(s.signs)] != \
+                    sch.oracle_boundary_count(s):
+                return f"tracer/oracle mismatch on {g.edges} {s.signs}"
     return None
 
 
 def suite_flip_invariance(tables=None):
     tables = {} if tables is None else tables
-    for s in _all_schemes():
-        b = _traced_b(tables, s)
-        orient = sch.is_orientable(s)
-        for v in range(s.graph.n_vertices):
-            f = sch.vertex_flip(s, v)
-            fb = _traced_b(tables, f)
-            if fb is None:
-                return (f"flip at {v} is not an enumerated scheme on "
-                        f"{s.graph.edges} {s.signs}")
-            if fb != b:
-                return f"flip at {v} changed b on {s.graph.edges} {s.signs}"
-            if sch.is_orientable(f) != orient:
-                return f"flip at {v} changed orientability"
+    for g, rows in _tabled_graphs(tables):
+        memo = {}
+        for s in classify.enumerate_schemes(g):
+            t = classify._pack_signs(s.signs)
+            b = rows[s.rotation][t]
+            orient = _orientable(memo, t, s)
+            for v in range(g.n_vertices):
+                f = sch.vertex_flip(s, v)
+                row = rows.get(f.rotation)
+                if row is None:
+                    return (f"flip at {v} is not an enumerated scheme on "
+                            f"{g.edges} {s.signs}")
+                ft = classify._pack_signs(f.signs)
+                if row[ft] != b:
+                    return f"flip at {v} changed b on {g.edges} {s.signs}"
+                if _orientable(memo, ft, f) != orient:
+                    return f"flip at {v} changed orientability"
     return None
 
 
 def suite_strip_decomposition(tables=None):
     tables = {} if tables is None else tables
-    for g in _all_graphs():
+    for g, rows in _tabled_graphs(tables):
         decomp = mg.bridges_and_components(g)
         for s in classify.enumerate_schemes(g):
-            subs = [sch.component_subscheme(s, comp)
-                    for comp in decomp.components]
-            bs = [_traced_b(tables, t) for t in subs]
-            if None in bs:
-                return (f"component subscheme is not an enumerated "
-                        f"scheme on {g.edges} {s.signs}")
-            b = _traced_b(tables, s)
+            bs = []
+            for comp in decomp.components:
+                t = sch.component_subscheme(s, comp)
+                row = _boundary_table(tables, t.graph).get(t.rotation)
+                if row is None:
+                    return (f"component subscheme is not an enumerated "
+                            f"scheme on {g.edges} {s.signs}")
+                bs.append(row[classify._pack_signs(t.signs)])
+            b = rows[s.rotation][classify._pack_signs(s.signs)]
             if b != 1 + sum(x - 1 for x in bs):
                 return (f"boundary count {b} disagrees with component "
                         f"counts {bs} on {g.edges} {s.signs}")
@@ -499,10 +509,10 @@ def suite_strip_decomposition(tables=None):
 
 def suite_cycle_components_switched(tables=None):
     tables = {} if tables is None else tables
-    for g in _all_graphs():
+    for g, rows in _tabled_graphs(tables):
         decomp = mg.bridges_and_components(g)
         for s in classify.enumerate_schemes(g):
-            if _traced_b(tables, s) != 1:
+            if rows[s.rotation][classify._pack_signs(s.signs)] != 1:
                 continue
             for comp in decomp.components:
                 if len(comp.edges) != len(comp.vertices):
@@ -516,9 +526,12 @@ def suite_cycle_components_switched(tables=None):
 
 def suite_odd_rank_non_orientable(tables=None):
     tables = {} if tables is None else tables
-    for s in _all_schemes(qs=(3,)):
-        if _traced_b(tables, s) == 1 and sch.is_orientable(s):
-            return f"orientable strip with odd rank: {s.graph.edges} {s.signs}"
+    for g, rows in _tabled_graphs(tables, qs=(3,)):
+        memo = {}
+        for s in classify.enumerate_schemes(g):
+            t = classify._pack_signs(s.signs)
+            if rows[s.rotation][t] == 1 and _orientable(memo, t, s):
+                return f"orientable strip with odd rank: {g.edges} {s.signs}"
     return None
 
 
@@ -567,8 +580,9 @@ def suite_round_trips(seed=0):
 def wedge_classes_reached(q, tables=None):
     """Wedge classes reachable by contracting cubic strips of rank q.
 
-    Walks every contraction order (memoized) from every cubic strip
+    Walks every contraction order (memoized) from the cubic strips
     down to single-vertex schemes; returns (reached, total classes).
+    A single-vertex scheme in no class adds None to ``reached``.
     The strips are read from ``tables`` (see ``_boundary_table``).
     """
     tables = {} if tables is None else tables
@@ -577,22 +591,21 @@ def wedge_classes_reached(q, tables=None):
     index_of = {t: i for i, c in enumerate(classes) for t in c.tables}
     reached = set()
     seen = set()
-    for strip in _all_schemes(qs=(q,)):
-        if _traced_b(tables, strip) != 1:
+    stack = [s for g, rows in _tabled_graphs(tables, qs=(q,))
+             for s in classify.enumerate_schemes(g)
+             if rows[s.rotation][classify._pack_signs(s.signs)] == 1]
+    while stack:
+        s = stack.pop()
+        key = (s.graph.n_vertices, s.graph.edges, s.rotation, s.signs)
+        if key in seen:
             continue
-        stack = [strip]
-        while stack:
-            s = stack.pop()
-            key = (s.graph.n_vertices, s.graph.edges, s.rotation, s.signs)
-            if key in seen:
-                continue
-            seen.add(key)
-            if s.graph.n_vertices == 1:
-                reached.add(index_of[classify._pack_signs(s.signs)])
-                continue
-            for e, (u, v) in enumerate(s.graph.edges):
-                if u != v and s.signs[e] == 0:
-                    stack.append(rd.contract_unswitched(s, e))
+        seen.add(key)
+        if s.graph.n_vertices == 1:
+            reached.add(index_of.get(classify._pack_signs(s.signs)))
+            continue
+        for e, (u, v) in enumerate(s.graph.edges):
+            if u != v and s.signs[e] == 0:
+                stack.append(rd.contract_unswitched(s, e))
     return reached, len(classes)
 
 
@@ -600,6 +613,9 @@ def suite_wedge_reachability(tables=None):
     tables = {} if tables is None else tables
     for q in (2, 3):
         reached, total = wedge_classes_reached(q, tables)
+        if None in reached:
+            return (f"q={q}: contractions of strips reach a one-vertex "
+                    f"scheme in no wedge class")
         if reached != set(range(total)):
             return (f"q={q}: contractions reach {sorted(reached)} "
                     f"of {total} wedge classes")

@@ -12,8 +12,8 @@ is 1.
 Two independent routes compute the number of boundary circles:
 ``boundary_trace`` walks dart-sides with a successor rule, while
 ``oracle_boundary_count`` builds the surface as glued polygons and
-counts boundary cycles with union-find.  They must always agree; the
-second exists purely to check the first.
+follows free arcs and rectangle sides from corner to corner.  They
+must always agree; the second exists purely to check the first.
 """
 from __future__ import annotations
 
@@ -189,87 +189,51 @@ def oracle_boundary_count(s: Scheme) -> int:
     rotation order), and each edge is a rectangle.  A rectangle end is
     glued to its arc orientation-reversing at the first dart; at the
     second dart it is glued reversing for sign 0 and preserving for
-    sign 1 (the half-twist).  Unglued segments then form a disjoint
-    union of circles, counted as components of a 2-regular graph on
-    glued corner classes.  Shares nothing with boundary_trace.
+    sign 1 (the half-twist).  Shares nothing with boundary_trace.
 
-    Points are numbered by offsets: corner j of vertex v is
-    ``base[v] + j``, with the corners of the vertices laid out one
-    after another in vertex order, and corner i of the rectangle of
-    edge e is ``bands + 4e + i``, after all the corners.
+    Every polygon corner ends one attachment arc, and every rectangle
+    corner is glued to one arc end, so each glued point is a polygon
+    corner and a rectangle corner, named by the polygon corner.  It
+    ends one free arc and one free rectangle side, and the boundary
+    circles are the cycles that take the two in turn.  The corners of
+    the vertices are laid out one after another in vertex order, and
+    dart h's arc runs from corner ``arc[h]`` to ``arc[h] + 1``.
     """
-    g = s.graph
-    base = []
-    bands = 0
+    n = 2 * s.graph.n_darts
+    arc = [0] * (n >> 1)
+    free = [-1] * n  # the far corner of the free arc at each corner
+    o = 0
     for cyc in s.rotation:
-        base.append(bands)
-        bands += 2 * len(cyc)
-    n_points = bands + 4 * g.n_edges
-
-    arc_ends = [None] * g.n_darts
-    free_segments = []
-    isolated = 0
-    for v in range(g.n_vertices):
-        cyc = s.rotation[v]
-        d = len(cyc)
-        if d == 0:
-            isolated += 1
-            continue
-        o = base[v]
+        d2 = 2 * len(cyc)
         for i, h in enumerate(cyc):
             a = o + 2 * i
-            c = o + (2 * i + 2) % (2 * d)
-            arc_ends[h] = (a, a + 1)
-            free_segments.append((a + 1, c))
-
-    gluings = []
-    band_sides = []
-    for e in range(g.n_edges):
-        p0 = bands + 4 * e
-        p1, p2, p3 = p0 + 1, p0 + 2, p0 + 3
-        band_sides.append((p1, p2))
-        band_sides.append((p3, p0))
-        a0, b0 = arc_ends[2 * e]
-        a1, b1 = arc_ends[2 * e + 1]
-        gluings.append((p0, b0))
-        gluings.append((p1, a0))
-        if s.signs[e] == 0:
-            gluings.append((p2, b1))
-            gluings.append((p3, a1))
-        else:
-            gluings.append((p2, a1))
-            gluings.append((p3, b1))
-
-    dsu = mg._UnionFind(n_points)
-    for (a, b) in gluings:
-        dsu.union(a, b)
-
-    segments = free_segments + band_sides
-    seg_ends = [(dsu.find(a), dsu.find(b)) for (a, b) in segments]
-    incident = [[] for _ in range(n_points)]
-    for i, (a, b) in enumerate(seg_ends):
-        incident[a].append(i)
-        incident[b].append(i)
-    # every glued class has a segment end, and only its root holds them
-    for inc in incident:
-        assert len(inc) in (0, 2), "unglued segments must form circles"
-
-    seen = [False] * len(segments)
+            c = o + (2 * i + 2) % d2
+            arc[h] = a
+            free[a + 1], free[c] = c, a + 1
+        o += d2
+    band = [-1] * n  # the far corner of the rectangle side at each corner
+    for e, x in enumerate(s.signs):
+        a0, a1 = arc[2 * e], arc[2 * e + 1]
+        # rectangle corners p0..p3 glue to the arc ends a0 + 1, a0, then
+        # a1 + 1, a1 (reversing) or a1, a1 + 1 (preserving); its free
+        # sides are p1 p2 and p3 p0
+        p0, p1 = a0 + 1, a0
+        p2, p3 = (a1, a1 + 1) if x else (a1 + 1, a1)
+        band[p1], band[p2], band[p3], band[p0] = p2, p1, p0, p3
+    # n ends were set in each list, so none left unset means one each
+    assert -1 not in free and -1 not in band, \
+        "every corner must end one free arc and one rectangle side"
+    seen = [False] * n
     circles = 0
-    for i in range(len(segments)):
-        if seen[i]:
+    for x in range(n):
+        if seen[x]:
             continue
         circles += 1
-        seen[i] = True
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            for node in seg_ends[j]:
-                for k in incident[node]:
-                    if not seen[k]:
-                        seen[k] = True
-                        stack.append(k)
-    return circles + isolated
+        while not seen[x]:
+            y = free[x]
+            seen[x] = seen[y] = True
+            x = band[y]
+    return circles + s.rotation.count(())  # a bare disk is one circle
 
 
 def switched_edges(s: Scheme):
@@ -290,9 +254,8 @@ def vertex_flip(s: Scheme, v: int) -> Scheme:
     rotation = list(s.rotation)
     rotation[v] = _anchor(reversed(rotation[v]))
     signs = list(s.signs)
-    for e, (a, b) in enumerate(s.graph.edges):
-        if (a == v) != (b == v):
-            signs[e] ^= 1
+    for h in s.rotation[v]:  # a loop has both darts here: toggled twice
+        signs[h >> 1] ^= 1
     # valid by construction: the same darts per vertex, signs still 0/1
     return Scheme(s.graph, tuple(rotation), tuple(signs))
 

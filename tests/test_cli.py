@@ -10,6 +10,7 @@ import pytest
 
 from clstruct import cli
 from clstruct import multigraph as mg
+from clstruct import reduce as rd
 from clstruct import scheme as sch
 from clstruct.errors import ClstructError
 from helpers import count_strip_tests
@@ -346,6 +347,41 @@ def test_flip_suite_catches_a_wrong_flip(monkeypatch):
         return sch.Scheme(f.graph, f.rotation, (1 - f.signs[0],) + f.signs[1:])
     _plant(monkeypatch, "vertex_flip", toggle_edge_0_too)
     assert cli.suite_flip_invariance() is not None
+
+
+def test_oracle_suite_catches_a_wrong_oracle(monkeypatch):
+    _plant(monkeypatch, "oracle_boundary_count",
+           lambda b, s: b + sum(s.signs) % 2)
+    assert "tracer/oracle mismatch" in cli.suite_tracer_vs_oracle()
+
+
+@pytest.mark.parametrize("suite, detail", [
+    ("suite_flip_invariance", "changed orientability"),
+    ("suite_odd_rank_non_orientable", "orientable strip with odd rank")])
+def test_suites_catch_an_orientability_wrong_on_edge_0(monkeypatch, suite,
+                                                      detail):
+    # wrong only on the tables with edge 0 switched: one per graph and
+    # table is made, so the suites must still compare it across tables
+    _plant(monkeypatch, "is_orientable",
+           lambda orient, s: orient != (s.signs[0] == 1))
+    assert detail in getattr(cli, suite)()
+
+
+def test_wedge_walk_fails_on_an_unclassified_wedge(monkeypatch, capsys):
+    real = rd.contract_unswitched
+
+    def zero_wedge_signs(s, e):
+        t = real(s, e)
+        if t.graph.n_vertices > 1 or t.graph.n_edges != 3:
+            return t
+        return sch.Scheme(t.graph, t.rotation, (0, 0, 0))
+    monkeypatch.setattr(rd, "contract_unswitched", zero_wedge_signs)
+    reached, total = cli.wedge_classes_reached(3)
+    assert reached == {None} and total == 2
+    assert cli.main(["verify"]) == 4
+    out = capsys.readouterr().out
+    assert ("FAIL wedge reachability by contraction: q=3: contractions of "
+            "strips reach a one-vertex scheme in no wedge class") in out
 
 
 def _unanchored(t, v):

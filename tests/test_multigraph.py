@@ -141,6 +141,48 @@ def test_bridges_components_and_tree_against_networkx():
         assert nx.is_tree(t), g
 
 
+def remove_and_test_decomposition(g):
+    """``mg.bridges_and_components`` as it was before the lowpoint
+    search: each spanning-tree edge is a bridge iff g without it is
+    disconnected, O(V * E).  Test-only reference."""
+    def connected_without(skip):
+        dsu = mg._UnionFind(g.n_vertices)
+        joins = sum(dsu.union(u, v) for e, (u, v) in enumerate(g.edges)
+                    if e != skip)
+        return joins == g.n_vertices - 1
+
+    bridges = tuple(e for e in mg._spanning_tree(g)[0]
+                    if not connected_without(e))
+    kept = [e for e in range(g.n_edges) if e not in bridges]
+    dsu = mg._UnionFind(g.n_vertices)
+    for e in kept:
+        dsu.union(*g.edges[e])
+    grouped = defaultdict(set)
+    for e in kept:
+        grouped[dsu.find(g.edges[e][0])].add(e)
+    components = []
+    for root in sorted(grouped, key=lambda r: min(grouped[r])):
+        es = frozenset(grouped[root])
+        vs = frozenset(v for e in es for v in g.edges[e])
+        components.append(mg.Component(es, vs))
+    return mg.Decomposition(bridges, tuple(components))
+
+
+def test_lowpoint_bridges_match_remove_and_test(census):
+    rng = random.Random(17)
+    drawn = [cli.random_multigraph(rng) for _ in range(300)]
+    assert sum(bool(mg.bridges_and_components(g).bridges)
+               for g in drawn) > 100
+    assert sum(any(u == v for u, v in g.edges) for g in drawn) > 100
+    assert sum(len(set(g.edges)) < g.n_edges for g in drawn) > 100
+    graphs = [g for q in (2, 3, 4, 5) for g in census[q]] + drawn
+    graphs += [mg.build(1, []), mg.build(2, [(0, 1)] * 2),
+               mg.build(3, [(0, 1), (1, 2)])]
+    for g in graphs:
+        assert mg.bridges_and_components(g) == \
+            remove_and_test_decomposition(g), g
+
+
 def test_fundamental_cycle_basis():
     basis = fundamental_cycle_basis(theta())
     assert len(basis) == 2

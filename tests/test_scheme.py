@@ -294,6 +294,31 @@ def test_vertex_flip_rejects_vertex_ids_out_of_range(v):
         sch.vertex_flip(theta_scheme([0, 0, 0]), v)
 
 
+def edge_scan_flip(s, v):
+    """``sch.vertex_flip`` as it was before it toggled the edges of the
+    darts at v: every edge is scanned, and a non-loop edge with one end
+    at v toggles.  Test-only reference."""
+    rotation = list(s.rotation)
+    rotation[v] = sch._anchor(reversed(rotation[v]))
+    signs = list(s.signs)
+    for e, (a, b) in enumerate(s.graph.edges):
+        if (a == v) != (b == v):
+            signs[e] ^= 1
+    return sch.Scheme(s.graph, tuple(rotation), tuple(signs))
+
+
+def test_vertex_flip_matches_the_edge_scan():
+    cubic = [s for q in (2, 3) for g in cf.generate_cubic_graphs(q)
+             for s in cf.enumerate_schemes(g)]
+    assert len(cubic) == 5184
+    rng = random.Random(13)
+    drawn = [cli.random_scheme(rng) for _ in range(2000)]
+    assert sum(any(u == v for u, v in s.graph.edges) for s in drawn) > 300
+    for s in cubic + drawn:
+        for v in range(s.graph.n_vertices):
+            assert sch.vertex_flip(s, v) == edge_scan_flip(s, v), (s, v)
+
+
 def test_vertex_flip_preserves_boundary_and_orientability():
     for signs in itertools.product((0, 1), repeat=3):
         s = theta_scheme(list(signs))
