@@ -34,11 +34,16 @@ so its walk leaves it out and may stop before the last rotation.
 Classes are orbits on normal forms (``equivalence_classes``), and each
 gets as witness the first rotation of the graph, in enumeration order,
 that makes its representative a strip, found per component (they share
-no vertex) by one more walk and lifted into the graph.  Each component
-is restricted once (``mg._restrict``), for both walks and the class
-keys.  The budget bounds every walk (``_check_walk``): each component
-is checked (``_components``) before the first strip test and before
-the graph's automorphisms are listed.
+no vertex) by one more walk and lifted into the graph.  Both walks test
+packed tables by flip transport (``_strip_witnesses``): flipping the
+vertices of degree 3 at their second option takes a rotation to a base
+rotation and its table to another of the coset, so one turn table per
+base (one per component of a cubic graph) and a memo of the transported
+tables serve the whole walk.  Each component is restricted once
+(``mg._restrict``), for both walks and the class keys.  The budget
+bounds every walk (``_check_walk``): each component is checked
+(``_components``) before the first strip test and before the graph's
+automorphisms are listed.
 """
 from __future__ import annotations
 
@@ -265,81 +270,111 @@ def _component_realizable(n_edges: int, sub: Multigraph, emap: dict,
     characteristic 2 - c, and an orientable surface has an even one."""
     edge_bit = [1 << (n_edges - 1 - e) for e in emap]
     _tree, free = mg._spanning_tree(sub)
-    reps = []
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        signs = [0] * sub.n_edges
-        for e, x in zip(free, bits):
-            signs[e] = x
-        reps.append(tuple(signs))
+    reps = [0]
+    for e in free:
+        reps += [x | edge_bit[e] for x in reps]
     del reps[:len(free) % 2]  # the zero coset comes first
 
     if threads <= 1 or len(reps) < 2 * threads:
-        found = _strip_witnesses(sub, reps)
+        found = _strip_witnesses(sub, edge_bit, reps)
     else:
         chunks = [reps[i::threads] for i in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            found = [x for part in pool.map(_strip_witnesses,
-                                            [sub] * threads, chunks)
+            found = [x for part in pool.map(_strip_witnesses, [sub] * threads,
+                                            [edge_bit] * threads, chunks)
                      for x in part]
 
     # every table of a realizable coset: rep xor a sum of vertex cuts
     span = [0]
-    for v in range(sub.n_vertices - 1):
-        cut = sum(bit for bit, (a, b) in zip(edge_bit, sub.edges)
-                  if (a == v) != (b == v))
+    for cut in _cuts(sub, edge_bit)[:-1]:
         span += [x ^ cut for x in span]
-    out = []
-    for rep in found:
-        table = sum(bit for bit, x in zip(edge_bit, rep) if x)
-        out += [table ^ x for x in span]
-    return out
+    return [rep ^ x for rep in found for x in span]
 
 
-def _strip_witnesses(g: Multigraph, tables) -> dict:
-    """Map each table to the first rotation, in ``_rotations`` order,
-    that makes it a strip; tables no rotation makes a strip are absent.
+def _cuts(g: Multigraph, edge_bit) -> list:
+    """Per vertex of g, the bits (edge i on ``edge_bit[i]``) of its
+    non-loop edges: the signs a flip at the vertex toggles."""
+    cuts = [0] * g.n_vertices
+    for bit, (a, b) in zip(edge_bit, g.edges):
+        if a != b:
+            cuts[a] ^= bit
+            cuts[b] ^= bit
+    return cuts
 
-    Rotation-outer: one turn table per rotation serves every table
-    still without a witness, and the walk ends once none is left.  A
-    rotation is skipped when its mirror image (every order reversed:
-    the same boundary count) comes earlier.
+
+def _strip_witnesses(g: Multigraph, edge_bit, tables) -> dict:
+    """Map each table, packed with g's edge i on bit ``edge_bit[i]``, to
+    the first rotation, in ``_rotations`` order, that makes it a strip;
+    tables no rotation makes a strip are absent.
+
+    Rotation-outer, by flip transport: the two options of a vertex of
+    degree 3 are each other's reverse, so flipping those at their
+    second option takes (rotation, t) to (base, t ^ their cuts) with
+    the same boundary count.  One turn table per base tests every table
+    still without a witness, and a memo per base keeps each transported
+    table's result until a vertex of degree > 3 changes option and so
+    moves the base.  The walk ends once no table is left.  A rotation is
+    skipped when its mirror image (every order reversed: the same
+    boundary count) comes earlier.
     """
+    first = g.darts()
+    cuts = _cuts(g, edge_bit)
+    three = [v for v, darts in enumerate(first) if len(darts) == 3]
+    masks = [bit for bit in edge_bit for _ in range(4)]  # by dart-side
+    strip = sch._single_orbit_strip
     pending = list(tables)
     witnesses = {}
+    base = None
     for rotation in _rotations(g):
         if not pending:
             break
         if rotation[0][:0:-1] < rotation[0][1:]:  # vertex 0 is the slowest
             continue
-        turn = sch._turn_table(g.n_darts, rotation)
-        still = []
-        for signs in pending:
-            if sch._single_orbit_strip(turn, signs):
-                witnesses[signs] = rotation
-            else:
-                still.append(signs)
-        pending = still
+        flips, at_base = 0, list(rotation) if three else rotation
+        for v in three:
+            if rotation[v] != first[v]:
+                flips ^= cuts[v]
+                at_base[v] = first[v]
+        if at_base != base:
+            base, memo = at_base, {}
+            turn = sch._turn_table(2 * len(edge_bit), base)
+        hits = []
+        for t in pending:
+            if three:
+                key = t ^ flips
+                if key not in memo:
+                    memo[key] = strip(turn, key, masks)
+                if memo[key]:
+                    hits.append(t)
+            elif strip(turn, t, masks):  # each base has one rotation
+                hits.append(t)
+        if hits:
+            witnesses.update(dict.fromkeys(hits, rotation))
+            pending = [t for t in pending if t not in witnesses]
     return witnesses
 
 
 def _witness_rotations(g: Multigraph, parts, tables) -> list:
     """The first rotation, in ``_rotations(g)`` order, that makes each
-    of the realizable ``tables`` (sign tuples) a strip; ``parts`` are
-    g's 2-connected components as ``_components`` restricted them.
+    of the realizable packed ``tables`` a strip; ``parts`` are g's
+    2-connected components as ``_components`` restricted them.
 
     A scheme is a strip iff each component subscheme is one, and that
     sees only the cyclic order of its component's darts at each vertex.
     The components share no vertex, so g's first strip rotation joins
-    each component's first (``_strip_witnesses``, once per distinct
-    restriction), lifted by ``_lift``, to the first option at every
-    other vertex; each distinct combination is joined once.
+    each component's first (``_strip_witnesses`` on the tables masked to
+    it, once per distinct mask), lifted by ``_lift``, to the first
+    option at every other vertex; each distinct combination is joined
+    once.
     """
     first = g.darts()
     keys = [()] * len(tables)  # per table, its components' witnesses
     for sub, _vmap, emap in parts:  # emap lists g's edges in sub's order
-        restricted = [tuple([lam[e] for e in emap]) for lam in tables]
-        walked = _strip_witnesses(sub, dict.fromkeys(restricted))
-        keys = [key + (walked[lam],) for key, lam in zip(keys, restricted)]
+        edge_bit = [1 << (g.n_edges - 1 - e) for e in emap]
+        bits = sum(edge_bit)
+        restricted = [t & bits for t in tables]
+        walked = _strip_witnesses(sub, edge_bit, dict.fromkeys(restricted))
+        keys = [key + (walked[t],) for key, t in zip(keys, restricted)]
     rotations = {}  # the components' strip rotations -> rotation of g
     for key in keys:
         if key not in rotations:
@@ -382,18 +417,22 @@ class StructureClass:
     """One equivalence class of realizable sign tables on a graph.
 
     tables holds the members packed by ``_pack_signs`` (edge 0 in the
-    top bit), ascending; ``members`` unpacks them into sign tuples on
-    each read, and the representative is the first of them.  witness is
+    top bit), ascending; ``members`` and ``representative`` unpack
+    them, or the first of them, into sign tuples on each read.  witness is
     the first rotation, in ``_rotations`` order, that makes the
     representative a strip; surface describes the capped surface of
     that strip (shared by all members on the cubic catalogs).
     """
 
     graph: Multigraph
-    representative: tuple
     tables: tuple
     witness: tuple
     surface: sch.SurfaceType
+
+    @property
+    def representative(self) -> tuple:
+        """The least sign tuple of the class, unpacked from tables[0]."""
+        return _unpack_signs(self.tables[0], self.graph.n_edges)
 
     @property
     def members(self) -> tuple:
@@ -447,12 +486,11 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     The walk is over normal forms, not tables: a component's forms come
     from its realizable restrictions, the graph's are their sums, and a
     class is an orbit of the automorphisms on forms, listed once.  Its
-    members are the realizable preimages of its forms.  Only the
-    representatives are unpacked, for their witness
-    (``_witness_rotations``).  A representative is a strip under its
-    witness, so its surface has b = 1, and it is orientable iff it has
-    even parity on every fundamental cycle (``_cycle_masks``).  The
-    vertex cap of the automorphisms (``mg.MAX_VERTICES``) is checked
+    members are the realizable preimages of its forms.  The packed
+    representatives get their witness (``_witness_rotations``) and are
+    strips under it, so a surface has b = 1, and it is orientable iff
+    its representative has even parity on every fundamental cycle
+    (``_cycle_masks``).  The vertex cap of the automorphisms (``mg.MAX_VERTICES``) is checked
     first, then the cyclic part and every component's budget
     (``_components``), and only then are the automorphisms listed (k!
     edge permutations for k parallel edges) and the components walked.
@@ -506,14 +544,13 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
             ts += [y | 1 << (E - 1 - e) for y in ts]
         groups.append(sorted(ts))
     groups.sort()  # by representative: each class's least member
-    reps = [_unpack_signs(ts[0], E) for ts in groups]
-    witnesses = _witness_rotations(g, parts, reps)
+    witnesses = _witness_rotations(g, parts, [ts[0] for ts in groups])
     masks = _cycle_masks(g)
     surfaces = {o: sch._surface(g, 1, o) for o in (False, True)}
     classes = []
-    for ts, rep, w in zip(groups, reps, witnesses):
+    for ts, w in zip(groups, witnesses):
         odd = any((ts[0] & m).bit_count() & 1 for m in masks)
-        classes.append(StructureClass(g, rep, tuple(ts), w, surfaces[not odd]))
+        classes.append(StructureClass(g, tuple(ts), w, surfaces[not odd]))
     return tuple(classes)
 
 

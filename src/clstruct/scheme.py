@@ -116,8 +116,10 @@ def _turn_table(n_darts: int, rotation) -> list:
     return turn
 
 
-def _single_orbit_strip(turn, signs) -> bool:
-    """True when the orbit of dart-side (0, 0) has n_darts states.
+def _single_orbit_strip(turn, table, masks) -> bool:
+    """True when the orbit of dart-side (0, 0) has n_darts states, the
+    signs read from the packed ``table``: state 2h + s steps as if its
+    edge had sign 1 when ``table & masks[2h + s]``.
 
     Its mirror orbit then has n_darts states as well, so together they
     are all 2 n_darts states and the patch has one boundary circle.
@@ -130,7 +132,7 @@ def _single_orbit_strip(turn, signs) -> bool:
         return True
     st = 0
     for steps in range(1, n_darts + 1):
-        st = turn[st ^ 2 ^ signs[st >> 2]]
+        st = turn[st ^ 3 if table & masks[st] else st ^ 2]
         if not st:
             return steps == n_darts
     return False

@@ -60,15 +60,24 @@ def oracle_witness_rotation(g: Multigraph, signs) -> tuple:
     raise AssertionError(f"no strip rotation for realizable signs {signs}")
 
 
+def packed_strip_args(signs) -> tuple:
+    """(table, masks) for ``scheme._single_orbit_strip`` from a sign
+    tuple: the table packed by ``_pack_signs``, and per dart-side state
+    2h + s the bit of h's edge."""
+    n_edges = len(signs)
+    masks = [1 << (n_edges - 1 - (st >> 2)) for st in range(4 * n_edges)]
+    return cf._pack_signs(signs), masks
+
+
 def count_strip_tests(monkeypatch) -> list:
     """Count ``scheme._single_orbit_strip`` calls, the strip tests of
     every search walk, in the returned one-item list."""
     kernel = sch._single_orbit_strip
     calls = [0]
 
-    def counted(turn, signs):
+    def counted(*args):
         calls[0] += 1
-        return kernel(turn, signs)
+        return kernel(*args)
 
     monkeypatch.setattr(sch, "_single_orbit_strip", counted)
     return calls

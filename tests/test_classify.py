@@ -11,7 +11,8 @@ from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
 from clstruct.errors import BudgetExceeded, TooLarge
-from helpers import count_strip_tests, oracle_witness_rotation
+from helpers import (count_strip_tests, oracle_witness_rotation,
+                     packed_strip_args)
 
 # The rank-3 cubic multigraphs, frozen from an exhaustive backtracking
 # enumeration deduplicated by canonical form and cross-checked against an
@@ -118,6 +119,20 @@ def test_first_rotation_makes_one_option_per_vertex():
     finally:
         tracemalloc.stop()
     assert first == (tuple(range(10)),)
+    assert peak < 1 << 20
+
+
+def test_strip_walks_on_a_high_degree_vertex_stay_small():
+    # the five-loop wedge has no vertex of degree 3, so every rotation
+    # walked is a base of its own and is tested without a memo
+    g = wedge(5)
+    tracemalloc.start()
+    try:
+        classes = cf.equivalence_classes(g, budget=12_000_000)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 3
     assert peak < 1 << 20
 
 
@@ -233,11 +248,15 @@ def test_catalog_rank3():
             assert c.surface.crosscaps == 3
 
 
-def test_catalog_rank5():
-    # about 2 s: the whole rank-5 catalog, its JSON bytes pinned, each
+def test_catalog_rank5(monkeypatch):
+    # the whole rank-5 catalog, its JSON and text bytes pinned, each
     # representative checked with its witness rotation by the
-    # polygon-gluing oracle
+    # polygon-gluing oracle.  Flip transport and its memo keep the
+    # search within 25,000 strip tests (55,359 when each rotation was
+    # tested with its own turn table).
+    calls = count_strip_tests(monkeypatch)
     cat = cf.catalog(5)
+    assert calls[0] <= 25_000
     assert len(cat.graphs) == 71
     assert cat.total == 8187
     assert sum(len(c.members) for cs in cat.classes for c in cs) == 116608
@@ -491,8 +510,8 @@ def oracle_equivalence_classes(g):
         witness = oracle_witness_rotation(g, members[0])
         rep = sch.Scheme(g, witness, members[0])
         tables = tuple(cf._pack_signs(m) for m in members)
-        classes.append(cf.StructureClass(g, members[0], tables,
-                                         witness, sch.surface_type(rep)))
+        classes.append(cf.StructureClass(g, tables, witness,
+                                         sch.surface_type(rep)))
     classes.sort(key=lambda c: c.representative)
     return tuple(classes)
 
@@ -583,11 +602,12 @@ def test_single_orbit_kernel_agrees_with_the_tracer():
                 turn = sch._turn_table(g.n_darts, rotation)
                 for signs in itertools.product((0, 1), repeat=g.n_edges):
                     s = sch.Scheme(g, rotation, signs)
-                    assert sch._single_orbit_strip(turn, signs) == \
+                    assert sch._single_orbit_strip(
+                        turn, *packed_strip_args(signs)) == \
                         (sch.boundary_trace(s).b == 1)
     point = sch.make_scheme(mg.build(1, []), [()], [])
     assert sch.boundary_trace(point).b == 1
-    assert sch._single_orbit_strip(sch._turn_table(0, point.rotation), ())
+    assert sch._single_orbit_strip(sch._turn_table(0, point.rotation), 0, [])
 
 
 def test_every_class_caps_to_euler_characteristic_two_minus_q(rank4_graphs):
@@ -623,11 +643,11 @@ def test_component_coset_closed_forms(rank4_graphs):
 def test_zero_coset_is_never_tested_at_odd_component_rank(monkeypatch,
                                                          rank4_graphs):
     # every strip test's component, read off its turn table: the
-    # rotation's cycles are its vertices, the signs its edges
+    # rotation's cycles are its vertices, and it has 4 states per edge
     kernel = sch._single_orbit_strip
     tested = []
 
-    def recorded(turn, signs):
+    def recorded(turn, table, masks):
         n_darts = len(turn) // 2
         seen, n_vertices = set(), 0
         for h in range(n_darts):
@@ -636,9 +656,9 @@ def test_zero_coset_is_never_tested_at_odd_component_rank(monkeypatch,
                 while h not in seen:
                     seen.add(h)
                     h = turn[2 * h] // 2
-        rank = len(signs) - n_vertices + 1
-        tested.append((rank, any(signs)))
-        return kernel(turn, signs)
+        rank = len(turn) // 4 - n_vertices + 1
+        tested.append((rank, table != 0))
+        return kernel(turn, table, masks)
 
     monkeypatch.setattr(sch, "_single_orbit_strip", recorded)
     graphs = [wedge(1), wedge(2), wedge(3), loops_each_end(2)]
@@ -656,24 +676,94 @@ def test_zero_coset_is_never_tested_at_odd_component_rank(monkeypatch,
 def test_odd_rank_walk_stops_once_the_nonzero_cosets_are_found(
         monkeypatch):
     # a bridgeless rank-5 graph that realizes all 31 nonzero cosets
-    # finds them before the last of its 2^8 rotations
-    make_turn = sch._turn_table
-    turns = [0]  # one turn table per rotation walked
+    # finds them before the last of its 2^8 rotations.  The walk makes
+    # one turn table per base, so it counts the rotations it draws.
+    rotations = cf._rotations
+    drawn = [0]
 
-    def counted(n_darts, rotation):
-        turns[0] += 1
-        return make_turn(n_darts, rotation)
+    def counted(g):
+        for rotation in rotations(g):
+            drawn[0] += 1
+            yield rotation
 
-    monkeypatch.setattr(sch, "_turn_table", counted)
+    monkeypatch.setattr(cf, "_rotations", counted)
     for g in cf.generate_cubic_graphs(5):
         if mg.bridges_and_components(g).bridges:
             continue
-        turns[0] = 0
+        drawn[0] = 0
         found = cf.realizable_signs(g)
         if len(found) == 31 << (g.n_vertices - 1):
-            assert turns[0] < sum(1 for _ in cf._rotations(g))
+            assert drawn[0] < sum(1 for _ in rotations(g))
             return
     raise AssertionError("no bridgeless rank-5 graph realizes 31 cosets")
+
+
+# --- the walk with a turn table per rotation, kept as a test-only oracle ---
+#
+# Before flip transport, the strip walk built a turn table for every
+# rotation it walked and tested sign tuples with the kernel below.  Both
+# are kept here to check the walk by flip transport against.
+
+def tuple_single_orbit_strip(turn, signs):
+    """``scheme._single_orbit_strip`` reading a sign tuple."""
+    n_darts = len(turn) >> 1
+    if not n_darts:
+        return True
+    st = 0
+    for steps in range(1, n_darts + 1):
+        st = turn[st ^ 2 ^ signs[st >> 2]]
+        if not st:
+            return steps == n_darts
+    return False
+
+
+def oracle_strip_witnesses(g, tables):
+    """Map each sign tuple to the first rotation, in ``_rotations``
+    order, that makes it a strip, skipping a rotation whose mirror image
+    comes earlier: one turn table per rotation walked."""
+    pending = list(tables)
+    witnesses = {}
+    for rotation in cf._rotations(g):
+        if not pending:
+            break
+        if rotation[0][:0:-1] < rotation[0][1:]:  # vertex 0 is the slowest
+            continue
+        turn = sch._turn_table(g.n_darts, rotation)
+        still = []
+        for signs in pending:
+            if tuple_single_orbit_strip(turn, signs):
+                witnesses[signs] = rotation
+            else:
+                still.append(signs)
+        pending = still
+    return witnesses
+
+
+def test_flip_transport_matches_a_turn_table_per_rotation(rank4_graphs):
+    # every table of every realizable coset on every component.  Some
+    # seeded components have vertices of degree 3 and of degree > 3, so
+    # the walk moves to a new base and drops its memo.
+    graphs = [g for q in (2, 3) for g in cf.generate_cubic_graphs(q)]
+    graphs += list(rank4_graphs)
+    graphs += random.Random(5).sample(cf.generate_cubic_graphs(5), 10)
+    graphs += seeded_cyclic_parts() + [wedge(2), wedge(3)]
+    mixed = 0
+    for g in graphs:
+        E = g.n_edges
+        parts, _bridges = cf._components(g, cf.DEFAULT_BUDGET)
+        for sub, _vmap, emap in parts:
+            degrees = sub.degrees()
+            mixed += 3 in degrees and max(degrees) > 3
+            edge_bit = [1 << (E - 1 - e) for e in emap]
+            tables = cf._component_realizable(E, sub, emap, 1)
+            walked = cf._strip_witnesses(sub, edge_bit, tables)
+            signs = {tuple(int(t & bit > 0) for bit in edge_bit): t
+                     for t in tables}
+            oracle = oracle_strip_witnesses(sub, signs)
+            assert len(oracle) == len(tables), g
+            assert walked == {signs[lam]: rotation
+                              for lam, rotation in oracle.items()}, g
+    assert mixed >= 10
 
 
 # --- witnesses per component, against the whole-graph oracle ---

@@ -12,6 +12,7 @@ from clstruct import classify as cf
 from clstruct import multigraph as mg
 from clstruct import reduce as rd
 from clstruct import scheme as sch
+from helpers import packed_strip_args
 
 FIXED = settings(max_examples=150, derandomize=True, database=None,
                  deadline=None)
@@ -50,7 +51,7 @@ def test_tracer_matches_oracle(s):
 @given(schemes(cyclic=True))
 def test_single_orbit_kernel_matches_tracer(s):
     turn = sch._turn_table(s.graph.n_darts, s.rotation)
-    assert sch._single_orbit_strip(turn, s.signs) == \
+    assert sch._single_orbit_strip(turn, *packed_strip_args(s.signs)) == \
         (sch.boundary_trace(s).b == 1)
 
 
