@@ -512,6 +512,35 @@ POINT_JSON = """\
 """
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["graphs", "--q", "3"],
+     "b1f5b32b39ab2f9ed0b5b6d06974de7eeca6a6c5c2711eea7290a1a2763cd50c"),
+    (["trace", "--input", "theta_file"],
+     "32051349a044577a6e989b96c6013826e7b1100e19737c474e685b64b84e1376"),
+    (["trace", "--input", "wedge_file"],
+     "9786c0c6f5eeb792aca37b4f6a1ae70f4e4e2598897ca553a6ec50d033be76e8"),
+    (["reduce", "--input", "theta_file"],
+     "c63a0ce7c311bc2065e4ed7dd018985e78fced3178e2cd1f1097682372131b59"),
+    (["reduce", "--input", "wedge_file"],
+     "2706b3e8a532e899b70da590594698af1acd84fc8a0647b66ef753cf05a1593e"),
+    (["expand", "--input", "wedge_file", "--vertex", "0", "--shape",
+      "balanced"],
+     "5532b530012d803a162d38d55fa7cfbff8a880d4a130f5913b381c1008e92261"),
+    (["render", "--input", "theta_file"],
+     "91c7e08bfe428907e98631423c21c4191c6dff59cca927c4dcf6a4540985eac1"),
+    (["render", "--input", "wedge_file"],
+     "d0f19ca779a1aaa73d0c00654abf7a11e46de224e4935846db7eb9d8d4ebe8da"),
+], ids=["graphs-q3", "trace-theta", "trace-wedge", "reduce-theta",
+        "reduce-wedge", "expand-wedge", "render-theta", "render-wedge"])
+def test_verb_json_is_pinned(request, capsys, argv, digest):
+    # each fixture name in argv stands for the path of its scheme file
+    argv = [request.getfixturevalue(a) if a.endswith("_file") else a
+            for a in argv]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("fmt, expected", [("text", POINT_TEXT),
                                            ("json", POINT_JSON)],
                          ids=["text", "json"])
