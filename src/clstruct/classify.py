@@ -43,7 +43,9 @@ tables serve the whole walk.  Each component is restricted once
 (``mg._restrict``), for both walks and the class keys.  The budget
 bounds every walk (``_check_walk``): each component is checked
 (``_components``) before the first strip test and before the graph's
-automorphisms are listed.
+automorphisms are listed.  The search runs on the calling thread
+(``threads`` arguments are accepted and ignored: under the GIL a pool
+only adds work), and documents are written by ``json.dumps``.
 """
 from __future__ import annotations
 
@@ -51,6 +53,8 @@ import functools
 import itertools
 import json
 import math
+# Read only by perfbench/tracer.py, which replaces this name when it
+# installs; the search itself starts no thread.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -227,14 +231,15 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     rank c only the coset representatives (tables 0 on a spanning tree)
     are searched, rotation-outer: 2^c of them, or 2^c - 1 when c is odd,
     since then the zero coset is never realized.  Each realizable one
-    stands for its whole coset of vertex-flip toggles.  ``threads``
-    splits the representatives over a thread pool.  Returns them sorted.
+    stands for its whole coset of vertex-flip toggles.  Returns them
+    sorted.  ``threads`` is accepted and ignored: the search runs on the
+    calling thread, since under the GIL a thread pool only adds work.
     """
     parts, bridges = _components(g, budget)
     E = g.n_edges
     found = [0]
     for sub, _vmap, emap in parts:
-        mine = _component_realizable(E, sub, emap, threads)
+        mine = _component_realizable(E, sub, emap)
         found = [x | y for x in found for y in mine]
     for e in bridges:
         found += [x | 1 << (E - 1 - e) for x in found]
@@ -258,15 +263,16 @@ def _components(g: Multigraph, budget: int | None):
     return parts, decomp.bridges
 
 
-def _component_realizable(n_edges: int, sub: Multigraph, emap: dict,
-                          threads: int) -> list:
+def _component_realizable(n_edges: int, sub: Multigraph,
+                          emap: dict) -> list:
     """The realizable tables of a graph with ``n_edges`` edges restricted
     to its 2-connected component ``sub`` (``emap`` sends the graph's edge
     ids to sub's), packed in the graph's coordinates (edge 0 in the top
     bit, 0 on every edge outside the component).  The walk over sub's
-    rotations ends once every coset representative has a strip rotation;
-    the caller has checked its budget.  The zero (orientable) coset is
-    left out when sub's cycle rank c is odd: a strip caps to Euler
+    rotations (one ``_strip_witnesses`` walk over the representatives)
+    ends once every coset representative has a strip rotation; the
+    caller has checked its budget.  The zero (orientable) coset is left
+    out when sub's cycle rank c is odd: a strip caps to Euler
     characteristic 2 - c, and an orientable surface has an even one."""
     edge_bit = [1 << (n_edges - 1 - e) for e in emap]
     _tree, free = mg._spanning_tree(sub)
@@ -274,16 +280,7 @@ def _component_realizable(n_edges: int, sub: Multigraph, emap: dict,
     for e in free:
         reps += [x | edge_bit[e] for x in reps]
     del reps[:len(free) % 2]  # the zero coset comes first
-
-    if threads <= 1 or len(reps) < 2 * threads:
-        found = _strip_witnesses(sub, edge_bit, reps)
-    else:
-        chunks = [reps[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            found = [x for part in pool.map(_strip_witnesses, [sub] * threads,
-                                            [edge_bit] * threads, chunks)
-                     for x in part]
-
+    found = _strip_witnesses(sub, edge_bit, reps)
     # every table of a realizable coset: rep xor a sum of vertex cuts
     span = [0]
     for cut in _cuts(sub, edge_bit)[:-1]:
@@ -490,10 +487,11 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     representatives get their witness (``_witness_rotations``) and are
     strips under it, so a surface has b = 1, and it is orientable iff
     its representative has even parity on every fundamental cycle
-    (``_cycle_masks``).  The vertex cap of the automorphisms (``mg.MAX_VERTICES``) is checked
-    first, then the cyclic part and every component's budget
-    (``_components``), and only then are the automorphisms listed (k!
-    edge permutations for k parallel edges) and the components walked.
+    (``_cycle_masks``).  The vertex cap of the automorphisms
+    (``mg.MAX_VERTICES``) is checked first, then the cyclic part and
+    every component's budget (``_components``), and only then are the
+    automorphisms listed (k! edge permutations for k parallel edges) and
+    the components walked.  ``threads`` is accepted and ignored.
     """
     mg._check_cap(g, "automorphisms")
     parts, bridges = _components(g, budget)
@@ -504,7 +502,7 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     for sub, _vmap, emap in parts:
         top = 1 << (E - 1 - min(emap))
         bits = sum(1 << (E - 1 - e) for e in emap)
-        found = set(_component_realizable(E, sub, emap, threads))
+        found = set(_component_realizable(E, sub, emap))
         comps.append((top, bits, found))
         mine = {t ^ bits if t & top else t for t in found}
         normals = [x | y for x in normals for y in mine]
@@ -613,8 +611,7 @@ def catalog_to_json(cat: Catalog) -> str:
                                  surfaces[key], rotations[c.witness]))
         out.append("\n      ]\n    }" if classes else "]\n    }")
     out.append("\n  ]" if cat.graphs else "]")
-    out.append(',\n  "q": %s,\n  "totals": %s\n}\n'
-               % (_scalar(cat.q), _scalar(cat.total)))
+    out.append(',\n  "q": %d,\n  "totals": %d\n}\n' % (cat.q, cat.total))
     return "".join(out)
 
 
@@ -660,66 +657,19 @@ def _bit_chunks(width: int, nl: str, head: str) -> tuple:
     return tuple(chunks)
 
 
-_quote = json.encoder.encode_basestring_ascii
-_LITERALS = {None: "null", True: "true", False: "false"}
-_SCALARS = {str, int, float, bool, type(None)}
-
-
 def _json(doc) -> str:
-    """The JSON layout of every document: sorted keys, two-space
-    indent, a final newline.
-
-    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2)``
-    plus "\\n", whose indented form always runs the pure-Python encoder,
-    for documents of dicts with str keys, lists and tuples (both written
-    as JSON arrays, as ``json.dumps`` does), str, int, bool, None and
-    finite floats; any other type raises TypeError.  The writer recurses
-    over dicts and arrays and joins an array of ints, or of other
-    scalars, in one step; strings go through the C quoter that
-    ``json.dumps`` uses.  ``catalog_to_json`` writes the same layout
-    for its one fixed document without building the document.
-    """
+    """The JSON layout of every document: the bytes of
+    ``json.dumps(doc, sort_keys=True, indent=2)`` and a final newline.
+    ``catalog_to_json`` writes the same layout for its one fixed
+    document without building the document."""
     return _write(doc, "\n") + "\n"
-
-
-def _scalar(x) -> str:
-    t = type(x)
-    if t is int:
-        return int.__repr__(x)
-    if t is str:
-        return _quote(x)
-    if t is float:
-        return float.__repr__(x)
-    if t is bool or x is None:
-        return _LITERALS[x]
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-
-def _array(texts: list, nl: str, brackets: str = "[]") -> str:
-    """A JSON array (or, with brackets "{}", object) of items already
-    written; nl is a newline and the indent of the line it starts on."""
-    if not texts:
-        return brackets
-    inner = nl + "  "
-    return brackets[0] + inner + ("," + inner).join(texts) + nl + brackets[1]
 
 
 def _write(x, nl: str) -> str:
     """The JSON text of x; nl is a newline and the indent of the line x
-    starts on."""
-    t = type(x)
-    inner = nl + "  "
-    if t is dict:
-        return _array([_quote(key) + ": " + _write(x[key], inner)
-                       for key in sorted(x)], nl, "{}")
-    if t is list or t is tuple:
-        types = set(map(type, x))
-        if types == {int}:
-            return _array(list(map(int.__repr__, x)), nl)
-        if types <= _SCALARS:  # the empty array too
-            return _array(list(map(_scalar, x)), nl)
-        return _array([_write(v, inner) for v in x], nl)
-    return _scalar(x)
+    starts on.  A JSON text holds no raw newline (strings escape it),
+    so every newline ``json.dumps`` writes is a line break."""
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _graph_line(i: int, g: Multigraph) -> str:

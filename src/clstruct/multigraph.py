@@ -58,10 +58,6 @@ class Multigraph:
             out[w].append(2 * e + 1)
         return tuple(map(tuple, out))
 
-    def darts_at(self, v: int) -> tuple[int, ...]:
-        """All darts at v, in increasing dart id order."""
-        return self.darts()[v]
-
 
 def build(n_vertices: int, edges) -> Multigraph:
     """Validated constructor: endpoints in range, graph connected."""

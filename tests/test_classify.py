@@ -1,7 +1,9 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -87,8 +89,7 @@ def option_lists(g):
     """Per vertex, its (deg(v)-1)! anchored options as a list: the least
     dart first, the others permuted in lexicographic order."""
     per_vertex = []
-    for v in range(g.n_vertices):
-        darts = g.darts_at(v)
+    for darts in g.darts():
         per_vertex.append([darts[:1] + p
                            for p in itertools.permutations(darts[1:])])
     return per_vertex
@@ -139,7 +140,7 @@ def test_strip_walks_on_a_high_degree_vertex_stay_small():
 def test_rotations_walk_a_long_cycle():
     n = 3000
     g = mg.build(n, [(v, (v + 1) % n) for v in range(n)])
-    assert next(cf._rotations(g)) == tuple(g.darts_at(v) for v in range(n))
+    assert next(cf._rotations(g)) == g.darts()
 
 
 def test_every_component_budget_is_checked_before_any_strip_test(
@@ -755,7 +756,7 @@ def test_flip_transport_matches_a_turn_table_per_rotation(rank4_graphs):
             degrees = sub.degrees()
             mixed += 3 in degrees and max(degrees) > 3
             edge_bit = [1 << (E - 1 - e) for e in emap]
-            tables = cf._component_realizable(E, sub, emap, 1)
+            tables = cf._component_realizable(E, sub, emap)
             walked = cf._strip_witnesses(sub, edge_bit, tables)
             signs = {tuple(int(t & bit > 0) for bit in edge_bit): t
                      for t in tables}
@@ -785,9 +786,10 @@ def test_lift_is_the_least_option_with_its_induced_order():
         decomp = mg.bridges_and_components(g)
         bridge_darts = {2 * e + end for e in decomp.bridges for end in (0, 1)}
         options = option_lists(g)
+        at = g.darts()
         for comp in decomp.components:
             for v in comp.vertices:
-                darts = g.darts_at(v)
+                darts = at[v]
                 others = [h for h in darts if h in bridge_darts]
                 if len(darts) not in checked or not others:
                     continue
@@ -826,3 +828,18 @@ def test_equivalence_classes_are_the_same_with_threads():
         base = cf.equivalence_classes(g)
         for threads in (2, 3):
             assert cf.equivalence_classes(g, threads=threads) == base
+
+
+def test_threads_start_no_pool_and_no_thread(monkeypatch):
+    # threads is accepted and ignored: even a bridgeless rank-5 graph,
+    # whose one component has 31 coset representatives, is searched on
+    # the calling thread
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__",
+                        refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    g = next(g for g in cf.generate_cubic_graphs(5)
+             if not mg.bridges_and_components(g).bridges)
+    assert cf.equivalence_classes(g, threads=2) == cf.equivalence_classes(g)

@@ -29,8 +29,8 @@ def test_build_basics():
     assert g.n_darts == 6
     assert g.degrees() == (3, 3)
     # dart h belongs to edge h//2, at the h%2 end
-    assert g.darts_at(0) == (0, 1, 2)
-    assert g.darts_at(1) == (3, 4, 5)
+    assert g.darts()[0] == (0, 1, 2)
+    assert g.darts()[1] == (3, 4, 5)
 
 
 def test_build_point_and_loop():

@@ -34,8 +34,7 @@ def schemes(draw, cyclic=False):
     g = draw(graphs())
     if cyclic:
         g = mg.cyclic_part(g).graph
-    rotation = [draw(st.permutations(g.darts_at(v)))
-                for v in range(g.n_vertices)]
+    rotation = [draw(st.permutations(darts)) for darts in g.darts()]
     signs = draw(st.lists(st.integers(0, 1), min_size=g.n_edges,
                           max_size=g.n_edges))
     return sch.make_scheme(g, rotation, signs)
@@ -106,8 +105,8 @@ JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.integers(-2 ** 100, 2 ** 100), JSON_TEXT,
     st.floats(allow_nan=False, allow_infinity=False))
-# Lists of only ints and bools check that the int fast path takes no bool;
-# tuples are written as arrays, as json.dumps writes them.
+# Lists of only ints and bools, and tuples, which json.dumps writes as
+# arrays.
 JSON_DOCS = st.recursive(
     JSON_SCALARS,
     lambda kids: st.one_of(

@@ -24,8 +24,7 @@ def theta_scheme(signs, rot0=(0, 2, 4), rot1=(1, 3, 5)):
 
 def all_schemes_on(g):
     rot_choices = []
-    for v in range(g.n_vertices):
-        darts = g.darts_at(v)
+    for darts in g.darts():
         if len(darts) <= 1:
             rot_choices.append([tuple(darts)])
         else:
