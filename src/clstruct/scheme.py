@@ -367,8 +367,14 @@ def component_subscheme(s: Scheme, component: mg.Component) -> Scheme:
     ``mg.bridges_and_components(s.graph).components``; the result is
     then a valid scheme too, and is built without validating it again.
     """
-    sub, vmap, emap = mg._restrict(s.graph, component.vertices,
-                                   component.edges)
+    return _subscheme(s, mg._restrict(s.graph, component.vertices,
+                                      component.edges))
+
+
+def _subscheme(s: Scheme, part) -> Scheme:
+    """s restricted to ``part``, ``mg._restrict`` of s's graph: maps
+    only rotations and signs, so one part serves every scheme on it."""
+    sub, vmap, emap = part
     # dropping darts can drop a rotation's smallest one: anchor again
     rotation = tuple(_anchor([2 * emap[h >> 1] + (h & 1)
                               for h in s.rotation[v] if (h >> 1) in emap])

@@ -16,6 +16,7 @@ from clstruct import classify as cf
 from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
+from clstruct import verify
 from helpers import oracle_witness_rotation
 
 
@@ -92,7 +93,7 @@ def test_criterion_5_tracer_equals_oracle():
                     mismatches += 1
     rng = random.Random(42)
     for _ in range(10_000):
-        s = cli.random_scheme(rng, max_vertices=8)
+        s = verify.random_scheme(rng, max_vertices=8)
         checked += 1
         if sch.boundary_trace(s).b != sch.oracle_boundary_count(s):
             mismatches += 1
@@ -105,10 +106,10 @@ def test_criterion_5_tracer_equals_oracle():
 
 def test_criterion_6_invariant_suite():
     # vertex-flip invariance and decomposition identities, exhaustively
-    assert cli.suite_flip_invariance() is None
-    assert cli.suite_strip_decomposition() is None
-    assert cli.suite_cycle_components_switched() is None
-    assert cli.suite_odd_rank_non_orientable() is None
+    assert verify.suite_flip_invariance() is None
+    assert verify.suite_strip_decomposition() is None
+    assert verify.suite_cycle_components_switched() is None
+    assert verify.suite_odd_rank_non_orientable() is None
     # orientable => even capped Euler characteristic
     for q in (2, 3):
         for g in cf.generate_cubic_graphs(q):
@@ -137,16 +138,16 @@ def test_criterion_7_round_trips_and_reachability():
     rng = random.Random(20260815)
     done = 0
     while done < 100:
-        s = cli.random_scheme(rng)
+        s = verify.random_scheme(rng)
         highs = [v for v in range(s.graph.n_vertices)
                  if s.graph.degree(v) > 3]
         if not highs:
             continue
         v = rng.choice(highs)
-        assert cli.roundtrip_once(s, v, rng.choice(("comb", "balanced")))
+        assert verify.roundtrip_once(s, v, rng.choice(("comb", "balanced")))
         done += 1
     for q in (2, 3):
-        reached, total = cli.wedge_classes_reached(q)
+        reached, total = verify.wedge_classes_reached(q)
         assert reached == set(range(total))
 
 

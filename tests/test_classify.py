@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
+import math
 import random
 import threading
 import tracemalloc
@@ -9,9 +10,9 @@ import tracemalloc
 import pytest
 
 from clstruct import classify as cf
-from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
+from clstruct import verify
 from clstruct.errors import BudgetExceeded, TooLarge
 from helpers import (count_strip_tests, oracle_witness_rotation,
                      packed_strip_args)
@@ -101,7 +102,7 @@ def test_rotations_are_the_product_of_the_option_lists():
     rng = random.Random(29)
     drawn = 0
     while drawn < 120:
-        g = mg.cyclic_part(cli.random_multigraph(rng, 5, 5)).graph
+        g = mg.cyclic_part(verify.random_multigraph(rng, 5, 5)).graph
         if max(g.degrees(), default=0) <= 6:
             graphs.append(g)
             drawn += 1
@@ -426,7 +427,7 @@ def test_strip_tests_stay_within_two_walks_per_component(monkeypatch):
     graphs = [loops_each_end(2), loops_each_end(3)]
     rng = random.Random(17)
     while len(graphs) < 40:
-        g = mg.cyclic_part(cli.random_multigraph(rng, 5, 5)).graph
+        g = mg.cyclic_part(verify.random_multigraph(rng, 5, 5)).graph
         if (max(g.degrees(), default=0) > 3 and
                 sum(map(cf.scheme_count, _component_graphs(g))) <= 20_000):
             graphs.append(g)
@@ -528,7 +529,7 @@ def seeded_cyclic_parts():
     rng = random.Random(11)
     graphs = []
     while len(graphs) < 100:
-        g = mg.cyclic_part(cli.random_multigraph(rng, 5, 5)).graph
+        g = mg.cyclic_part(verify.random_multigraph(rng, 5, 5)).graph
         if g.n_edges and cf.scheme_count(g) <= 20_000:
             graphs.append(g)
     return graphs
@@ -609,6 +610,41 @@ def test_single_orbit_kernel_agrees_with_the_tracer():
     point = sch.make_scheme(mg.build(1, []), [()], [])
     assert sch.boundary_trace(point).b == 1
     assert sch._single_orbit_strip(sch._turn_table(0, point.rotation), 0, [])
+
+
+def harer_zagier_orientable_strips(k):
+    """Strips among the all-0 schemes on the k-loop wedge.
+
+    An anchored rotation of the wedge's 2k darts is a side pairing of a
+    2k-gon with its k edges labelled and oriented, read from a marked
+    side.  A strip is a pairing that glues the 2k-gon to a surface with
+    one vertex, of genus k/2.  There are eps_g(2g) = (4g)!/(4^g (2g+1)!)
+    such pairings at k = 2g (J. Harer and D. Zagier, "The Euler
+    characteristic of the moduli space of curves", Invent. Math. 85
+    (1986)), none at odd k, so eps_{k/2}(k) k! 2^k / (2k) strips.
+    """
+    if k % 2:
+        return 0
+    g = k // 2
+    eps = math.factorial(4 * g) // (4 ** g * math.factorial(2 * g + 1))
+    return eps * math.factorial(k) * 2 ** k // (2 * k)
+
+
+def test_orientable_wedge_strips_match_harer_zagier():
+    assert [harer_zagier_orientable_strips(k) for k in range(1, 6)] == \
+        [0, 2, 0, 1008, 0]
+    for k in range(1, 6):
+        g = wedge(k)
+        masks = [0] * (2 * g.n_darts)  # all signs 0: never read as 1
+        strips = [rotation for rotation in cf._rotations(g)
+                  if sch._single_orbit_strip(
+                      sch._turn_table(g.n_darts, rotation), 0, masks)]
+        assert len(strips) == harer_zagier_orientable_strips(k)
+        if k <= 4:  # and the tracer picks out the same rotations
+            assert strips == [
+                rotation for rotation in cf._rotations(g)
+                if sch.boundary_trace(
+                    sch.Scheme(g, rotation, (0,) * k)).b == 1]
 
 
 def test_every_class_caps_to_euler_characteristic_two_minus_q(rank4_graphs):
@@ -780,7 +816,7 @@ def test_lift_is_the_least_option_with_its_induced_order():
     checked = {4: 0, 5: 0, 6: 0}
     rng = random.Random(23)
     while min(checked.values()) < 6:
-        g = mg.cyclic_part(cli.random_multigraph(rng, 6, 6)).graph
+        g = mg.cyclic_part(verify.random_multigraph(rng, 6, 6)).graph
         if max(g.degrees(), default=0) > 6:
             continue  # (deg - 1)! options per vertex
         decomp = mg.bridges_and_components(g)
@@ -809,7 +845,7 @@ def _sampled_graphs():
     rng = random.Random(11)
     drawn = 0
     while drawn < 60:
-        g = mg.cyclic_part(cli.random_multigraph(rng, 5, 5)).graph
+        g = mg.cyclic_part(verify.random_multigraph(rng, 5, 5)).graph
         if max(g.degrees(), default=0) > 3 and cf.scheme_count(g) <= 20_000:
             graphs.append(g)
             drawn += 1

@@ -12,6 +12,7 @@ from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import reduce as rd
 from clstruct import scheme as sch
+from clstruct import verify
 from clstruct.errors import ClstructError
 from helpers import count_strip_tests
 
@@ -311,8 +312,8 @@ def test_verify_failure_exits_4(monkeypatch, capsys):
                  "suite_cycle_components_switched",
                  "suite_odd_rank_non_orientable", "suite_round_trips",
                  "suite_wedge_reachability"):
-        monkeypatch.setattr(cli, name, lambda *a, **k: None)
-    monkeypatch.setattr(cli, "suite_closed_forms",
+        monkeypatch.setattr(verify, name, lambda *a, **k: None)
+    monkeypatch.setattr(verify, "suite_closed_forms",
                         lambda: "simulated defect")
     assert cli.main(["verify"]) == 4
     out = capsys.readouterr().out
@@ -339,20 +340,20 @@ def test_table_suites_catch_a_wrong_tracer(monkeypatch, suite):
             return sch.BoundaryTrace(t.orbits, t.pairing, t.b + 1)
         return t
     _plant(monkeypatch, "boundary_trace", one_more_on_odd_sign_sums)
-    assert getattr(cli, suite)() is not None
+    assert getattr(verify, suite)() is not None
 
 
 def test_flip_suite_catches_a_wrong_flip(monkeypatch):
     def toggle_edge_0_too(f, s, v):
         return sch.Scheme(f.graph, f.rotation, (1 - f.signs[0],) + f.signs[1:])
     _plant(monkeypatch, "vertex_flip", toggle_edge_0_too)
-    assert cli.suite_flip_invariance() is not None
+    assert verify.suite_flip_invariance() is not None
 
 
 def test_oracle_suite_catches_a_wrong_oracle(monkeypatch):
     _plant(monkeypatch, "oracle_boundary_count",
            lambda b, s: b + sum(s.signs) % 2)
-    assert "tracer/oracle mismatch" in cli.suite_tracer_vs_oracle()
+    assert "tracer/oracle mismatch" in verify.suite_tracer_vs_oracle()
 
 
 @pytest.mark.parametrize("suite, detail", [
@@ -364,7 +365,7 @@ def test_suites_catch_an_orientability_wrong_on_edge_0(monkeypatch, suite,
     # table is made, so the suites must still compare it across tables
     _plant(monkeypatch, "is_orientable",
            lambda orient, s: orient != (s.signs[0] == 1))
-    assert detail in getattr(cli, suite)()
+    assert detail in getattr(verify, suite)()
 
 
 def test_wedge_walk_fails_on_an_unclassified_wedge(monkeypatch, capsys):
@@ -376,7 +377,7 @@ def test_wedge_walk_fails_on_an_unclassified_wedge(monkeypatch, capsys):
             return t
         return sch.Scheme(t.graph, t.rotation, (0, 0, 0))
     monkeypatch.setattr(rd, "contract_unswitched", zero_wedge_signs)
-    reached, total = cli.wedge_classes_reached(3)
+    reached, total = verify.wedge_classes_reached(3)
     assert reached == {None} and total == 2
     assert cli.main(["verify"]) == 4
     out = capsys.readouterr().out
@@ -392,24 +393,24 @@ def _unanchored(t, v):
 
 def test_flip_suite_fails_on_an_unanchored_flip(monkeypatch):
     _plant(monkeypatch, "vertex_flip", lambda f, s, v: _unanchored(f, v))
-    assert "not an enumerated scheme" in cli.suite_flip_invariance()
+    assert "not an enumerated scheme" in verify.suite_flip_invariance()
 
 
 def test_decomposition_suite_fails_on_an_unanchored_restriction(monkeypatch):
-    _plant(monkeypatch, "component_subscheme",
-           lambda t, s, comp: _unanchored(t, 0))
-    assert "not an enumerated scheme" in cli.suite_strip_decomposition()
+    _plant(monkeypatch, "_subscheme",
+           lambda t, s, part: _unanchored(t, 0))
+    assert "not an enumerated scheme" in verify.suite_strip_decomposition()
 
 
 def test_decomposition_suite_catches_a_wrong_restriction(monkeypatch):
-    def drop_first_switched(t, s, comp):
+    def drop_first_switched(t, s, part):
         if 1 not in t.signs:
             return t
         signs = list(t.signs)
         signs[signs.index(1)] = 0
         return sch.Scheme(t.graph, t.rotation, tuple(signs))
-    _plant(monkeypatch, "component_subscheme", drop_first_switched)
-    assert cli.suite_strip_decomposition() is not None
+    _plant(monkeypatch, "_subscheme", drop_first_switched)
+    assert verify.suite_strip_decomposition() is not None
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from clstruct import classify, cli
+from clstruct import classify, verify
 from clstruct import multigraph as mg
 from clstruct.errors import (Disconnected, EndpointOutOfRange, ParseError,
                              TooLarge)
@@ -116,7 +116,7 @@ def test_bridges_components_and_tree_against_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(5)
     for _ in range(300):
-        g = cli.random_multigraph(rng)  # loops and parallel edges
+        g = verify.random_multigraph(rng)  # loops and parallel edges
         h = nx.MultiGraph()
         h.add_nodes_from(range(g.n_vertices))
         h.add_edges_from(g.edges)
@@ -170,7 +170,7 @@ def remove_and_test_decomposition(g):
 
 def test_lowpoint_bridges_match_remove_and_test(census):
     rng = random.Random(17)
-    drawn = [cli.random_multigraph(rng) for _ in range(300)]
+    drawn = [verify.random_multigraph(rng) for _ in range(300)]
     assert sum(bool(mg.bridges_and_components(g).bridges)
                for g in drawn) > 100
     assert sum(any(u == v for u, v in g.edges) for g in drawn) > 100
@@ -362,7 +362,7 @@ def test_search_matches_oracle_on_random_multigraphs():
     # loops, parallel edges and several degree blocks
     rng = random.Random(7)
     for _ in range(300):
-        _assert_matches_oracle(cli.random_multigraph(rng, max_vertices=7))
+        _assert_matches_oracle(verify.random_multigraph(rng, max_vertices=7))
 
 
 def test_search_matches_oracle_on_disconnected_graphs():

@@ -8,7 +8,7 @@ from clstruct import classify as cf
 from clstruct import multigraph as mg
 from clstruct import reduce as rd
 from clstruct import scheme as sch
-from clstruct.cli import random_scheme, roundtrip_once
+from clstruct.verify import random_scheme, roundtrip_once
 from clstruct.errors import (ClstructError, DegreeTooSmall, LoopContraction,
                              NoSuchVertex, NotCyclicPart, SwitchedContraction,
                              UnknownTreeShape)
@@ -202,7 +202,7 @@ def test_reduce_to_cubic_requires_cyclic_part():
 
 
 def test_contraction_reaches_every_wedge_class():
-    from clstruct.cli import wedge_classes_reached
+    from clstruct.verify import wedge_classes_reached
     for q in (2, 3):
         reached, total = wedge_classes_reached(q)
         assert reached == set(range(total))

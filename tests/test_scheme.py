@@ -5,9 +5,9 @@ from collections import defaultdict
 import pytest
 
 from clstruct import classify as cf
-from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import scheme as sch
+from clstruct import verify
 from clstruct.errors import (BadRotation, MissingSign, NoSuchVertex,
                              NotCyclicPart, ParseError)
 from helpers import fundamental_cycle_basis
@@ -255,7 +255,7 @@ def test_oracle_matches_its_dict_numbered_version():
     wedge = list(cf.enumerate_schemes(mg.build(1, [(0, 0)] * 3)))
     assert len(wedge) == 960
     rng = random.Random(11)
-    drawn = [cli.random_scheme(rng) for _ in range(2000)]
+    drawn = [verify.random_scheme(rng) for _ in range(2000)]
     loops = sum(any(u == v for u, v in s.graph.edges) for s in drawn)
     parallels = sum(len(set(s.graph.edges)) < s.graph.n_edges for s in drawn)
     assert loops > 300 and parallels > 300
@@ -311,7 +311,7 @@ def test_vertex_flip_matches_the_edge_scan():
              for s in cf.enumerate_schemes(g)]
     assert len(cubic) == 5184
     rng = random.Random(13)
-    drawn = [cli.random_scheme(rng) for _ in range(2000)]
+    drawn = [verify.random_scheme(rng) for _ in range(2000)]
     assert sum(any(u == v for u, v in s.graph.edges) for s in drawn) > 300
     for s in cubic + drawn:
         for v in range(s.graph.n_vertices):
@@ -353,7 +353,7 @@ def test_orientability_matches_cycle_parity():
     rng = random.Random(3)
     loops = parallels = 0
     for _ in range(300):
-        s = cli.random_scheme(rng)
+        s = verify.random_scheme(rng)
         assert sch.is_orientable(s) == cycle_parity_orientable(s), s
         edges = s.graph.edges
         loops += any(u == v for u, v in edges)
