@@ -75,16 +75,12 @@ def contract_unswitched(s: Scheme, e: int) -> Scheme:
     rotation[u] = _anchor(ru[:iu] + rv[iv + 1:] + rv[:iv] + ru[iu + 1:])
     del rotation[v]
 
-    def vertex(x):
-        """New id of old vertex x: v becomes u, ids above v drop by one."""
-        if x == v:
-            x = u
-        return x - 1 if x > v else x
-
+    # new id of each old vertex: v becomes u, ids above v drop by one
+    ids = [*range(v), u - (u > v), *range(v, g.n_vertices - 1)]
     # the shift keeps the order of the darts left, so every anchor holds
     rotation = tuple(tuple([t - 2 if t > h else t for t in cyc])
                      for cyc in rotation)
-    edges = tuple([(vertex(a), vertex(b))
+    edges = tuple([(ids[a], ids[b])
                    for a, b in g.edges[:e] + g.edges[e + 1:]])
     signs = s.signs[:e] + s.signs[e + 1:]
     # contracting a non-loop edge keeps the graph connected

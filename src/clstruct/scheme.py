@@ -160,18 +160,16 @@ def boundary_trace(s: Scheme) -> BoundaryTrace:
         assert st == start, "successor must be a permutation"
         orbits.append(tuple(cur))
 
-    # mirror pairing: R(h, side) = (partner(h), side xor sign xor 1)
-    pairing = []
-    for idx, orbit in enumerate(orbits):
-        images = {orbit_of[st ^ 3 ^ signs[st >> 2]] for st in orbit}
-        assert len(images) == 1, "reversal must map orbits to orbits"
-        pairing.append(images.pop())
-    for idx, j in enumerate(pairing):
+    # mirror pairing: R(h, side) = (partner(h), side xor sign xor 1),
+    # read off each orbit's first state, then checked on every state
+    pairing = [orbit_of[o[0] ^ 3 ^ signs[o[0] >> 2]] for o in orbits]
+    for st, idx in enumerate(orbit_of):
+        j = orbit_of[st ^ 3 ^ signs[st >> 2]]
+        assert j == pairing[idx], "reversal must map orbits to orbits"
         assert j != idx and pairing[j] == idx, \
             "reversal pairing must be a perfect matching"
 
-    isolated = g.degrees().count(0)
-    b = len(orbits) // 2 + isolated
+    b = len(orbits) // 2 + s.rotation.count(())  # a bare disk is one circle
     return BoundaryTrace(tuple(orbits), tuple(pairing), b)
 
 

@@ -45,34 +45,41 @@ RANDOM_ORACLE_CASES = 2000
 RANK4_CASES = 200
 
 def _boundary_table(tables, g):
-    """Exact boundary counts of every scheme on g, traced once.
+    """Every scheme on g with its exact boundary count, traced once.
 
-    One ``bytearray`` per anchored rotation, indexed by the sign table
-    packed by ``classify._pack_signs``, holding
-    ``sch.boundary_trace(s).b``.  Built on first use and kept in the
-    dict ``tables``, keyed by graph, so that the suites of one run
-    share it.  A vertex flip or component subscheme of an enumerated
-    scheme is again an enumerated scheme (rotations stay anchored), so
-    its count is a lookup too.
+    Returns (schemes, counts, starts).  ``schemes`` lists
+    ``classify.enumerate_schemes(g)`` in its order: rotation by
+    rotation, each rotation's sign tables in ``classify._pack_signs``
+    order, so the scheme at position i has the packed table
+    i & (2^E - 1), E = g.n_edges.  ``counts[i]`` is
+    ``sch.boundary_trace(schemes[i]).b``, and ``starts`` maps each
+    anchored rotation to the position of its first scheme.  Built on
+    first use and kept in the dict ``tables``, keyed by graph, so that
+    the suites of one run enumerate and trace g once.  A vertex flip or
+    component subscheme of an enumerated scheme is again an enumerated
+    scheme (rotations stay anchored), so its count is the lookup
+    ``counts[starts[rotation] + packed table]``.
     """
-    rows = tables.get(g)
-    if rows is None:
-        rows = tables[g] = {}
-        for s in classify.enumerate_schemes(g):
-            row = rows.get(s.rotation)
-            if row is None:
-                row = rows[s.rotation] = bytearray(1 << g.n_edges)
-            row[classify._pack_signs(s.signs)] = sch.boundary_trace(s).b
-    return rows
+    table = tables.get(g)
+    if table is None:
+        schemes = list(classify.enumerate_schemes(g))
+        counts = bytearray([sch.boundary_trace(s).b for s in schemes])
+        starts = {schemes[i].rotation: i
+                  for i in range(0, len(schemes), 1 << g.n_edges)}
+        table = tables[g] = schemes, counts, starts
+    return table
 
 
 def _tabled_graphs(tables=None, qs=(2, 3)):
-    """(g, rows) per cubic graph g of the ranks qs, rows being its
-    boundary table (see ``_boundary_table``) in ``tables``, a new dict
-    when None, fetched once per graph."""
+    """(g, table) per cubic graph g of the ranks qs, table being its
+    ``_boundary_table`` in ``tables``, a new dict when None.  The graphs
+    of rank q are generated once and kept in ``tables`` under q."""
     tables = {} if tables is None else tables
     for q in qs:
-        for g in classify.generate_cubic_graphs(q):
+        graphs = tables.get(q)
+        if graphs is None:
+            graphs = tables[q] = classify.generate_cubic_graphs(q)
+        for g in graphs:
             yield g, _boundary_table(tables, g)
 
 
@@ -109,29 +116,28 @@ def suite_closed_forms():
 
 
 def suite_tracer_vs_oracle(tables=None):
-    for g, rows in _tabled_graphs(tables):
-        for s in classify.enumerate_schemes(g):
-            if rows[s.rotation][classify._pack_signs(s.signs)] != \
-                    sch.oracle_boundary_count(s):
+    for g, (schemes, counts, _starts) in _tabled_graphs(tables):
+        for s, b in zip(schemes, counts):
+            if b != sch.oracle_boundary_count(s):
                 return f"tracer/oracle mismatch on {g.edges} {s.signs}"
     return None
 
 
 def suite_flip_invariance(tables=None):
-    for g, rows in _tabled_graphs(tables):
+    for g, (schemes, counts, starts) in _tabled_graphs(tables):
+        mask = (1 << g.n_edges) - 1
         memo = {}
-        for s in classify.enumerate_schemes(g):
-            t = classify._pack_signs(s.signs)
-            b = rows[s.rotation][t]
-            orient = _orientable(memo, t, s)
+        for i, s in enumerate(schemes):
+            b = counts[i]
+            orient = _orientable(memo, i & mask, s)
             for v in range(g.n_vertices):
                 f = sch.vertex_flip(s, v)
-                row = rows.get(f.rotation)
-                if row is None:
+                start = starts.get(f.rotation)
+                if start is None:
                     return (f"flip at {v} is not an enumerated scheme on "
                             f"{g.edges} {s.signs}")
                 ft = classify._pack_signs(f.signs)
-                if row[ft] != b:
+                if counts[start + ft] != b:
                     return f"flip at {v} changed b on {g.edges} {s.signs}"
                 if _orientable(memo, ft, f) != orient:
                     return f"flip at {v} changed orientability"
@@ -140,19 +146,22 @@ def suite_flip_invariance(tables=None):
 
 def suite_strip_decomposition(tables=None):
     tables = {} if tables is None else tables
-    for g, rows in _tabled_graphs(tables):
+    for g, (schemes, counts, _starts) in _tabled_graphs(tables):
         parts = [mg._restrict(g, comp.vertices, comp.edges)
                  for comp in mg.bridges_and_components(g).components]
-        for s in classify.enumerate_schemes(g):
+        part_tables = [_boundary_table(tables, part[0]) for part in parts]
+        for s, b in zip(schemes, counts):
             bs = []
-            for part in parts:
+            for part, table in zip(parts, part_tables):
                 t = sch._subscheme(s, part)
-                row = _boundary_table(tables, t.graph).get(t.rotation)
-                if row is None:
+                if t.graph is not part[0]:  # then it needs its own table
+                    table = _boundary_table(tables, t.graph)
+                _schemes, sub_counts, sub_starts = table
+                start = sub_starts.get(t.rotation)
+                if start is None:
                     return (f"component subscheme is not an enumerated "
                             f"scheme on {g.edges} {s.signs}")
-                bs.append(row[classify._pack_signs(t.signs)])
-            b = rows[s.rotation][classify._pack_signs(s.signs)]
+                bs.append(sub_counts[start + classify._pack_signs(t.signs)])
             if b != 1 + sum(x - 1 for x in bs):
                 return (f"boundary count {b} disagrees with component "
                         f"counts {bs} on {g.edges} {s.signs}")
@@ -162,10 +171,10 @@ def suite_strip_decomposition(tables=None):
 
 
 def suite_cycle_components_switched(tables=None):
-    for g, rows in _tabled_graphs(tables):
+    for g, (schemes, counts, _starts) in _tabled_graphs(tables):
         decomp = mg.bridges_and_components(g)
-        for s in classify.enumerate_schemes(g):
-            if rows[s.rotation][classify._pack_signs(s.signs)] != 1:
+        for s, b in zip(schemes, counts):
+            if b != 1:
                 continue
             for comp in decomp.components:
                 if len(comp.edges) != len(comp.vertices):
@@ -178,11 +187,11 @@ def suite_cycle_components_switched(tables=None):
 
 
 def suite_odd_rank_non_orientable(tables=None):
-    for g, rows in _tabled_graphs(tables, qs=(3,)):
+    for g, (schemes, counts, _starts) in _tabled_graphs(tables, qs=(3,)):
+        mask = (1 << g.n_edges) - 1
         memo = {}
-        for s in classify.enumerate_schemes(g):
-            t = classify._pack_signs(s.signs)
-            if rows[s.rotation][t] == 1 and _orientable(memo, t, s):
+        for i, s in enumerate(schemes):
+            if counts[i] == 1 and _orientable(memo, i & mask, s):
                 return f"orientable strip with odd rank: {g.edges} {s.signs}"
     return None
 
@@ -232,19 +241,27 @@ def suite_round_trips(seed=0):
 def wedge_classes_reached(q, tables=None):
     """Wedge classes reachable by contracting cubic strips of rank q.
 
-    Walks every contraction order (memoized) from the cubic strips
-    down to single-vertex schemes; returns (reached, total classes).
-    A single-vertex scheme in no class adds None to ``reached``.
-    The strips are read from ``tables`` (see ``_boundary_table``).
+    Walks every contraction order from the cubic strips down to
+    single-vertex schemes; returns (reached, total classes).  A
+    single-vertex scheme in no class adds None to ``reached``.  The
+    strips are the listed schemes with count 1 in ``tables`` (see
+    ``_boundary_table``).
+
+    The walk contracts before its ``seen`` check on purpose: a child's
+    key (its graph, rotation and signs) exists only once its
+    contraction has built it.  ``seen`` keeps a scheme reached by two
+    orders from being walked twice, so every unswitched non-loop edge
+    of every scheme reached is contracted once, whatever the walk
+    order: 28 contractions at q = 2, 13,160 at q = 3.
     """
     wedge = mg.build(1, [(0, 0)] * q)
     classes = classify.equivalence_classes(wedge)
     index_of = {t: i for i, c in enumerate(classes) for t in c.tables}
     reached = set()
     seen = set()
-    stack = [s for g, rows in _tabled_graphs(tables, qs=(q,))
-             for s in classify.enumerate_schemes(g)
-             if rows[s.rotation][classify._pack_signs(s.signs)] == 1]
+    stack = [s for _g, (schemes, counts, _starts)
+             in _tabled_graphs(tables, qs=(q,))
+             for s, b in zip(schemes, counts) if b == 1]
     while stack:
         s = stack.pop()
         key = (s.graph.n_vertices, s.graph.edges, s.rotation, s.signs)
@@ -299,9 +316,10 @@ def suite_rank4_spot_checks(seed=0):
 def run_verify(level="default", seed=0) -> int:
     """Run the invariant suites; returns a process exit code (0 or 4).
 
-    The suites that walk every scheme share one boundary table per
-    graph, so each scheme is traced once per run; the oracle still
-    counts every scheme on its own.
+    The suites that walk every scheme share one ``_boundary_table`` per
+    graph, so each graph is generated and enumerated once and each
+    scheme traced once per run; the oracle still counts every scheme
+    on its own.
     """
     tables = {}
     suites = [
