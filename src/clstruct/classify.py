@@ -38,14 +38,15 @@ no vertex) by one more walk and lifted into the graph.  Both walks test
 packed tables by flip transport (``_strip_witnesses``): flipping the
 vertices of degree 3 at their second option takes a rotation to a base
 rotation and its table to another of the coset, so one turn table per
-base (one per component of a cubic graph) and a memo of the transported
-tables serve the whole walk.  Each component is restricted once
-(``mg._restrict``), for both walks and the class keys.  The budget
-bounds every walk (``_check_walk``): each component is checked
-(``_components``) before the first strip test and before the graph's
-automorphisms are listed.  The search runs on the calling thread
-(``threads`` arguments are accepted and ignored: under the GIL a pool
-only adds work), and documents are written by ``json.dumps``.
+base (one per component of a cubic graph) serves the whole walk; the
+witness walk also keeps a memo of the transported tables.  Each
+component is restricted once (``mg._restrict``), for both walks and
+the class keys.  The budget bounds every walk (``_check_walk``): each
+component is checked (``_components``) before the first strip test and
+before the graph's automorphisms are listed.  The search runs on the
+calling thread (``threads`` arguments are accepted and ignored: under
+the GIL a pool only adds work), and documents are written by
+``json.dumps``.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ import math
 # Read only by perfbench/tracer.py, which replaces this name when it
 # installs; the search itself starts no thread.
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import multigraph as mg
 from . import scheme as sch
@@ -280,7 +281,7 @@ def _component_realizable(n_edges: int, sub: Multigraph,
     for e in free:
         reps += [x | edge_bit[e] for x in reps]
     del reps[:len(free) % 2]  # the zero coset comes first
-    found = _strip_witnesses(sub, edge_bit, reps)
+    found = _strip_witnesses(sub, edge_bit, reps, cosets=True)
     # every table of a realizable coset: rep xor a sum of vertex cuts
     span = [0]
     for cut in _cuts(sub, edge_bit)[:-1]:
@@ -299,7 +300,8 @@ def _cuts(g: Multigraph, edge_bit) -> list:
     return cuts
 
 
-def _strip_witnesses(g: Multigraph, edge_bit, tables) -> dict:
+def _strip_witnesses(g: Multigraph, edge_bit, tables,
+                     cosets: bool = False) -> dict:
     """Map each table, packed with g's edge i on bit ``edge_bit[i]``, to
     the first rotation, in ``_rotations`` order, that makes it a strip;
     tables no rotation makes a strip are absent.
@@ -313,12 +315,20 @@ def _strip_witnesses(g: Multigraph, edge_bit, tables) -> dict:
     moves the base.  The walk ends once no table is left.  A rotation is
     skipped when its mirror image (every order reversed: the same
     boundary count) comes earlier.
+
+    ``cosets`` says the tables lie in distinct cosets, as the
+    realizability walk's representatives do; the walk then keeps no
+    memo, which could never hit.  Two such tables are never transported
+    to one table, and one table is transported to the same table by two
+    rotations of one base only when they differ at every vertex, all of
+    degree 3: mirror images, of which the walk tests one.
     """
     first = g.darts()
     cuts = _cuts(g, edge_bit)
     three = [v for v, darts in enumerate(first) if len(darts) == 3]
     masks = [bit for bit in edge_bit for _ in range(4)]  # by dart-side
     strip = sch._single_orbit_strip
+    keep = bool(three) and not cosets  # else no memo entry is read twice
     pending = list(tables)
     witnesses = {}
     base = None
@@ -335,16 +345,16 @@ def _strip_witnesses(g: Multigraph, edge_bit, tables) -> dict:
         if at_base != base:
             base, memo = at_base, {}
             turn = sch._turn_table(2 * len(edge_bit), base)
-        hits = []
-        for t in pending:
-            if three:
+        if keep:
+            hits = []
+            for t in pending:
                 key = t ^ flips
                 if key not in memo:
                     memo[key] = strip(turn, key, masks)
                 if memo[key]:
                     hits.append(t)
-            elif strip(turn, t, masks):  # each base has one rotation
-                hits.append(t)
+        else:
+            hits = [t for t in pending if strip(turn, t ^ flips, masks)]
         if hits:
             witnesses.update(dict.fromkeys(hits, rotation))
             pending = [t for t in pending if t not in witnesses]
@@ -409,8 +419,7 @@ def _lift(cycle, others) -> tuple:
     return tuple(out + cycle[i:])
 
 
-@dataclass(frozen=True)
-class StructureClass:
+class StructureClass(NamedTuple):
     """One equivalence class of realizable sign tables on a graph.
 
     tables holds the members packed by ``_pack_signs`` (edge 0 in the
@@ -552,8 +561,7 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     return tuple(classes)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     """Full classification for one cycle rank."""
 
     q: int

@@ -23,7 +23,6 @@ from . import classify
 from . import multigraph as mg
 from . import reduce as rd
 from . import scheme as sch
-from . import verify
 from .errors import BudgetExceeded, ClstructError, ParseError, TooLarge
 
 
@@ -358,4 +357,5 @@ def _render_svg(name, s) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # imported here so the other verbs never load it
     return verify.run_verify(args.level, args.seed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Disconnected, EndpointOutOfRange, ParseError, TooLarge
 
@@ -24,8 +24,7 @@ from .errors import Disconnected, EndpointOutOfRange, ParseError, TooLarge
 MAX_VERTICES = 10
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(NamedTuple):
     """Immutable multigraph: a vertex count plus a tuple of endpoint pairs."""
 
     n_vertices: int
@@ -120,16 +119,14 @@ def cycle_rank(g: Multigraph) -> int:
     return g.n_edges - g.n_vertices + 1
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """A 2-connected component: a bridge-free edge set with its vertices."""
 
     edges: frozenset
     vertices: frozenset
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Bridges plus 2-connected components; together they partition E."""
 
     bridges: tuple[int, ...]
@@ -186,8 +183,7 @@ def bridges_and_components(g: Multigraph) -> Decomposition:
         for es in grouped.values()))
 
 
-@dataclass
-class CyclicPart:
+class CyclicPart(NamedTuple):
     """Cyclic part of a graph with the surviving-id mappings.
 
     vertex_map / edge_map send old ids to ids in the reduced graph;

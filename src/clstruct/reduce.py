@@ -11,7 +11,7 @@ on a cubic graph with the same surface data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import multigraph as mg
 from .errors import (ClstructError, DegreeTooSmall, LoopContraction,
@@ -20,8 +20,7 @@ from .errors import (ClstructError, DegreeTooSmall, LoopContraction,
 from .scheme import Scheme, _anchor
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """Record of one move, with enough detail to replay or invert it.
 
     dart_map sends surviving old darts to their new ids (a bijection on

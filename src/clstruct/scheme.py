@@ -17,7 +17,7 @@ must always agree; the second exists purely to check the first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import multigraph as mg
 from .errors import (BadRotation, MissingSign, NoSuchVertex, NotCyclicPart,
@@ -25,8 +25,7 @@ from .errors import (BadRotation, MissingSign, NoSuchVertex, NotCyclicPart,
 from .multigraph import Multigraph
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(NamedTuple):
     """A multigraph with a rotation system and edge signs.
 
     ``rotation[v]`` is the cyclic dart order at vertex v, stored
@@ -95,8 +94,7 @@ def make_scheme(g: Multigraph, rotation, signs) -> Scheme:
 # ``turn[state ^ 2 ^ signs[state >> 2]]``.
 
 
-@dataclass(frozen=True)
-class BoundaryTrace:
+class BoundaryTrace(NamedTuple):
     """Successor orbits, their mirror pairing, and the boundary count."""
 
     orbits: tuple[tuple[int, ...], ...]
@@ -260,8 +258,7 @@ def vertex_flip(s: Scheme, v: int) -> Scheme:
     return Scheme(s.graph, tuple(rotation), tuple(signs))
 
 
-@dataclass(frozen=True)
-class SurfaceType:
+class SurfaceType(NamedTuple):
     """Patch invariants and the closed surface obtained by capping.
 
     euler_patch = V - E; euler_closed = euler_patch + boundary.  For an

@@ -304,11 +304,11 @@ def suite_rank4_spot_checks(seed=0):
     for i in range(RANK4_CASES):
         g = graphs[rng.randrange(len(graphs))]
         s = random_scheme(rng, g=g)
-        if sch.boundary_trace(s).b != sch.oracle_boundary_count(s):
+        b = sch.boundary_trace(s).b
+        if b != sch.oracle_boundary_count(s):
             return f"mismatch on q=4 case {i}"
         v = rng.randrange(g.n_vertices)
-        if sch.boundary_trace(sch.vertex_flip(s, v)).b != \
-                sch.boundary_trace(s).b:
+        if sch.boundary_trace(sch.vertex_flip(s, v)).b != b:
             return f"flip changed b on q=4 case {i}"
     return None
 

@@ -250,6 +250,22 @@ def test_catalog_rank3():
             assert c.surface.crosscaps == 3
 
 
+def test_rank5_strip_tests_are_pinned(monkeypatch):
+    # counts of the algorithm, not of timing: the realizability walk
+    # tests coset representatives, each in its own coset, so it has no
+    # memo to hit (10,742 with the memo and without); the witness walk
+    # of catalog(5) adds the rest
+    graphs = cf.generate_cubic_graphs(5)
+    calls = count_strip_tests(monkeypatch)
+    for g in graphs:
+        cf.realizable_signs(g)
+    assert len(graphs) == 71
+    assert calls[0] == 10_742
+    calls[0] = 0
+    cf.catalog(5)
+    assert calls[0] == 22_873
+
+
 def test_catalog_rank5(monkeypatch):
     # the whole rank-5 catalog, its JSON and text bytes pinned, each
     # representative checked with its witness rotation by the

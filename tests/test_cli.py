@@ -609,6 +609,30 @@ def test_closed_stdout_ends_quietly():
     assert proc.returncode == 0
 
 
+def _run_fresh(*args):
+    """Run python with args in a fresh process on this source tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+
+
+def test_cli_import_loads_no_dataclasses_and_no_verify():
+    # every CLI call pays this import; pytest itself loads dataclasses,
+    # so only a fresh process can see what the import adds
+    code = ("import sys; before = set(sys.modules); import clstruct.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    loaded = _run_fresh("-c", code).stdout.split()
+    assert "clstruct.cli" in loaded
+    for name in ("dataclasses", "inspect", "clstruct.verify"):
+        assert name not in loaded
+
+
+def test_verify_verb_imports_its_suites():
+    out = _run_fresh("-m", "clstruct", "verify", "--seed", "1").stdout
+    assert out.splitlines()[-1] == "8/8 suites passed"
+
+
 def test_eleven_loop_wedge_exits_3_in_bounded_memory(tmp_path):
     # 21! * 2^11 schemes on its one component.  The budget check comes
     # before the automorphisms, which would list 11! edge permutations

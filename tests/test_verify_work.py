@@ -1,11 +1,12 @@
 """The work of one `clstruct verify` run: what it enumerates, how it
-reads packed sign tables, and how many contractions the wedge walk
-makes."""
+reads packed sign tables, how many contractions the wedge walk makes,
+and how many traces the rank-4 spot checks make."""
 import collections
 
 from clstruct import classify, verify
 from clstruct import multigraph as mg
 from clstruct import reduce as rd
+from clstruct import scheme as sch
 
 
 def test_a_run_enumerates_each_graph_once(monkeypatch, capsys):
@@ -55,3 +56,18 @@ def test_wedge_walk_contracts_every_order(monkeypatch):
         reached, total = verify.wedge_classes_reached(q)
         assert reached == set(range(total))
         assert calls[0] == contractions
+
+
+def test_rank4_spot_checks_trace_each_scheme_once(monkeypatch):
+    # each sampled scheme and its flip, traced once each; 600 when the
+    # flip comparison traced the sampled scheme again
+    calls = [0]
+    real = sch.boundary_trace
+
+    def counted(s):
+        calls[0] += 1
+        return real(s)
+    monkeypatch.setattr(sch, "boundary_trace", counted)
+    assert verify.suite_rank4_spot_checks(0) is None
+    assert verify.RANK4_CASES == 200
+    assert calls[0] == 400
