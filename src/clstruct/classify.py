@@ -28,25 +28,26 @@ coset holds 2^(V-1) tables.  Per 2-connected component the 2^q tables
 that are 0 on a spanning tree represent the cosets; one walk over the
 rotations tests every representative still unrealized with a
 single-orbit strip test, and each realizable one contributes its whole
-coset.  A component of odd q never realizes the zero coset (a strip
-caps to Euler characteristic 2 - q, and the zero coset is orientable),
-so its walk leaves it out and may stop before the last rotation.
-Classes are orbits on normal forms (``equivalence_classes``), and each
-gets as witness the first rotation of the graph, in enumeration order,
-that makes its representative a strip, found per component (they share
-no vertex) by one more walk and lifted into the graph.  Both walks test
-packed tables by flip transport (``_strip_witnesses``): flipping the
-vertices of degree 3 at their second option takes a rotation to a base
-rotation and its table to another of the coset, so one turn table per
-base (one per component of a cubic graph) serves the whole walk; the
-witness walk also keeps a memo of the transported tables.  Each
-component is restricted once (``mg._restrict``), for both walks and
-the class keys.  The budget bounds every walk (``_check_walk``): each
-component is checked (``_components``) before the first strip test and
-before the graph's automorphisms are listed.  The search runs on the
-calling thread (``threads`` arguments are accepted and ignored: under
-the GIL a pool only adds work), and documents are written by
-``json.dumps``.
+coset.  The zero coset, the span of the vertex cuts, holds exactly the
+orientable tables (Stahl, J. Graph Theory 2, 1978).  A component of odd
+q never realizes it (a strip caps to Euler characteristic 2 - q, and
+an orientable surface has an even one), so its walk leaves it out and
+may stop before the last rotation.  Classes are orbits on normal forms
+(``equivalence_classes``), and each gets as witness the first rotation
+of the graph, in enumeration order, that makes its representative a
+strip, found per component (they share no vertex) by one more walk and
+lifted into the graph.  Both walks test packed tables by flip transport
+(``_strip_witnesses``): flipping the vertices of degree 3 at their
+second option takes a rotation to a base rotation and its table to
+another of the coset, so one turn table per base (one per component of
+a cubic graph) serves the whole walk, and both walks keep a memo of the
+transported tables.  Each component is restricted and packed once
+(``_components``), for both walks, the class keys and the surfaces.
+The budget bounds every walk (``_check_walk``): each component is
+checked (``_components``) before the first strip test and before the
+graph's automorphisms are listed.  The search runs on the calling
+thread (``threads`` arguments are accepted and ignored: under the GIL
+a pool only adds work), and documents are written by ``json.dumps``.
 """
 from __future__ import annotations
 
@@ -237,19 +238,21 @@ def realizable_signs(g: Multigraph, threads: int = 1,
     calling thread, since under the GIL a thread pool only adds work.
     """
     parts, bridges = _components(g, budget)
-    E = g.n_edges
     found = [0]
-    for sub, _vmap, emap in parts:
-        mine = _component_realizable(E, sub, emap)
+    for sub, _vmap, _emap, edge_bit in parts:
+        mine, _span = _component_realizable(sub, edge_bit)
         found = [x | y for x in found for y in mine]
-    for e in bridges:
-        found += [x | 1 << (E - 1 - e) for x in found]
-    return tuple([_unpack_signs(t, E) for t in sorted(found)])
+    for bit in bridges:
+        found += [x | bit for x in found]
+    return tuple([_unpack_signs(t, g.n_edges) for t in sorted(found)])
 
 
 def _components(g: Multigraph, budget: int | None):
-    """g's 2-connected components, each restricted once by
-    ``mg._restrict`` as (graph, vertex map, edge map), and g's bridges.
+    """(parts, bridges): g's 2-connected components, each restricted
+    once by ``mg._restrict`` as (graph, vertex map, edge map, edge
+    bits), and the bits of g's bridges.  The bits pack as
+    ``_pack_signs`` does: edge e of g on bit E - 1 - e, and the
+    component's edge i on edge_bits[i].
 
     Every component's budget is checked here (``_check_walk``), before
     any walk and before anything else is built for the search.
@@ -257,36 +260,39 @@ def _components(g: Multigraph, budget: int | None):
     if not mg.is_cyclic_part(g):
         raise NotCyclicPart("realizable_signs needs the cyclic part")
     decomp = mg.bridges_and_components(g)
-    parts = [mg._restrict(g, comp.vertices, comp.edges)
-             for comp in decomp.components]
-    for sub, _vmap, _emap in parts:
+    bit = [1 << e for e in range(g.n_edges - 1, -1, -1)]
+    parts = []
+    for comp in decomp.components:
+        sub, vmap, emap = mg._restrict(g, comp.vertices, comp.edges)
         _check_walk(sub, budget, "a component")
-    return parts, decomp.bridges
+        parts.append((sub, vmap, emap, [bit[e] for e in emap]))
+    return parts, [bit[e] for e in decomp.bridges]
 
 
-def _component_realizable(n_edges: int, sub: Multigraph,
-                          emap: dict) -> list:
-    """The realizable tables of a graph with ``n_edges`` edges restricted
-    to its 2-connected component ``sub`` (``emap`` sends the graph's edge
-    ids to sub's), packed in the graph's coordinates (edge 0 in the top
-    bit, 0 on every edge outside the component).  The walk over sub's
-    rotations (one ``_strip_witnesses`` walk over the representatives)
-    ends once every coset representative has a strip rotation; the
-    caller has checked its budget.  The zero (orientable) coset is left
-    out when sub's cycle rank c is odd: a strip caps to Euler
-    characteristic 2 - c, and an orientable surface has an even one."""
-    edge_bit = [1 << (n_edges - 1 - e) for e in emap]
+def _component_realizable(sub: Multigraph, edge_bit) -> tuple:
+    """(realizable, span) on a 2-connected component ``sub`` of a
+    graph, its edge i packed on bit ``edge_bit[i]`` of the graph's
+    tables (as ``_components`` gives them), 0 on every other edge.
+
+    span is the zero coset: the sums of sub's vertex cuts, 2^(V-1)
+    tables, which are exactly its orientable ones.  realizable lists
+    every table of each realizable coset.  The walk over sub's rotations
+    (one ``_strip_witnesses`` walk over the representatives) ends once
+    every coset representative has a strip rotation; the caller has
+    checked its budget.  The zero coset is left out of the walk when
+    sub's cycle rank c is odd: a strip caps to Euler characteristic
+    2 - c, and an orientable surface has an even one."""
     _tree, free = mg._spanning_tree(sub)
     reps = [0]
     for e in free:
         reps += [x | edge_bit[e] for x in reps]
     del reps[:len(free) % 2]  # the zero coset comes first
-    found = _strip_witnesses(sub, edge_bit, reps, cosets=True)
-    # every table of a realizable coset: rep xor a sum of vertex cuts
+    found = _strip_witnesses(sub, edge_bit, reps)
     span = [0]
     for cut in _cuts(sub, edge_bit)[:-1]:
         span += [x ^ cut for x in span]
-    return [rep ^ x for rep in found for x in span]
+    # every table of a realizable coset: rep xor a sum of vertex cuts
+    return [rep ^ x for rep in found for x in span], span
 
 
 def _cuts(g: Multigraph, edge_bit) -> list:
@@ -300,8 +306,7 @@ def _cuts(g: Multigraph, edge_bit) -> list:
     return cuts
 
 
-def _strip_witnesses(g: Multigraph, edge_bit, tables,
-                     cosets: bool = False) -> dict:
+def _strip_witnesses(g: Multigraph, edge_bit, tables) -> dict:
     """Map each table, packed with g's edge i on bit ``edge_bit[i]``, to
     the first rotation, in ``_rotations`` order, that makes it a strip;
     tables no rotation makes a strip are absent.
@@ -316,19 +321,17 @@ def _strip_witnesses(g: Multigraph, edge_bit, tables,
     skipped when its mirror image (every order reversed: the same
     boundary count) comes earlier.
 
-    ``cosets`` says the tables lie in distinct cosets, as the
-    realizability walk's representatives do; the walk then keeps no
-    memo, which could never hit.  Two such tables are never transported
-    to one table, and one table is transported to the same table by two
-    rotations of one base only when they differ at every vertex, all of
-    degree 3: mirror images, of which the walk tests one.
+    The memo never hits in the realizability walk, whose tables lie in
+    distinct cosets: two of them are never transported to one table,
+    and two rotations of one base transport a table to itself only when
+    they differ at every vertex, all of degree 3: mirror images, of
+    which the walk tests one.  So it costs that walk no strip test.
     """
     first = g.darts()
     cuts = _cuts(g, edge_bit)
     three = [v for v, darts in enumerate(first) if len(darts) == 3]
     masks = [bit for bit in edge_bit for _ in range(4)]  # by dart-side
     strip = sch._single_orbit_strip
-    keep = bool(three) and not cosets  # else no memo entry is read twice
     pending = list(tables)
     witnesses = {}
     base = None
@@ -345,16 +348,13 @@ def _strip_witnesses(g: Multigraph, edge_bit, tables,
         if at_base != base:
             base, memo = at_base, {}
             turn = sch._turn_table(2 * len(edge_bit), base)
-        if keep:
-            hits = []
-            for t in pending:
-                key = t ^ flips
-                if key not in memo:
-                    memo[key] = strip(turn, key, masks)
-                if memo[key]:
-                    hits.append(t)
-        else:
-            hits = [t for t in pending if strip(turn, t ^ flips, masks)]
+        hits = []
+        for t in pending:
+            key = t ^ flips
+            if key not in memo:
+                memo[key] = strip(turn, key, masks)
+            if memo[key]:
+                hits.append(t)
         if hits:
             witnesses.update(dict.fromkeys(hits, rotation))
             pending = [t for t in pending if t not in witnesses]
@@ -376,8 +376,7 @@ def _witness_rotations(g: Multigraph, parts, tables) -> list:
     """
     first = g.darts()
     keys = [()] * len(tables)  # per table, its components' witnesses
-    for sub, _vmap, emap in parts:  # emap lists g's edges in sub's order
-        edge_bit = [1 << (g.n_edges - 1 - e) for e in emap]
+    for sub, _vmap, _emap, edge_bit in parts:
         bits = sum(edge_bit)
         restricted = [t & bits for t in tables]
         walked = _strip_witnesses(sub, edge_bit, dict.fromkeys(restricted))
@@ -386,8 +385,8 @@ def _witness_rotations(g: Multigraph, parts, tables) -> list:
     for key in keys:
         if key not in rotations:
             rotation = list(first)
-            for (_sub, vmap, emap), walk in zip(parts, key):
-                edges = list(emap)
+            for (_sub, vmap, emap, _bits), walk in zip(parts, key):
+                edges = list(emap)  # g's edges in sub's order
                 for v, i in vmap.items():
                     others = [h for h in first[v] if h >> 1 not in emap]
                     rotation[v] = _lift([2 * edges[h >> 1] + (h & 1)
@@ -447,37 +446,6 @@ class StructureClass(NamedTuple):
                       for t in self.tables])
 
 
-def _cycle_masks(g: Multigraph) -> list:
-    """One packed mask (edge 0 in the top bit) per fundamental cycle of
-    ``mg._spanning_tree(g)``, a loop being a cycle of its own.
-
-    The fundamental cycles span the cycle space, so a table is
-    orientable (flip-equivalent to all 0, as ``sch.is_orientable``
-    decides) iff it has even parity on every mask.
-    """
-    E = g.n_edges
-    tree, extra = mg._spanning_tree(g)
-    adj = [[] for _ in range(g.n_vertices)]
-    for e in tree:
-        u, v = g.edges[e]
-        adj[u].append((v, 1 << (E - 1 - e)))
-        adj[v].append((u, 1 << (E - 1 - e)))
-    path = [None] * g.n_vertices  # the tree path from a root, packed
-    for root in range(g.n_vertices):
-        if path[root] is not None:
-            continue
-        path[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, bit in adj[u]:
-                if path[v] is None:
-                    path[v] = path[u] ^ bit
-                    stack.append(v)
-    return [(1 << (E - 1 - e)) ^ path[g.edges[e][0]] ^ path[g.edges[e][1]]
-            for e in extra]
-
-
 def equivalence_classes(g: Multigraph, threads: int = 1,
                         budget: int | None = DEFAULT_BUDGET):
     """Group realizable sign tables into structure classes.
@@ -495,24 +463,25 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     members are the realizable preimages of its forms.  The packed
     representatives get their witness (``_witness_rotations``) and are
     strips under it, so a surface has b = 1, and it is orientable iff
-    its representative has even parity on every fundamental cycle
-    (``_cycle_masks``).  The vertex cap of the automorphisms
-    (``mg.MAX_VERTICES``) is checked first, then the cyclic part and
-    every component's budget (``_components``), and only then are the
-    automorphisms listed (k! edge permutations for k parallel edges) and
-    the components walked.  ``threads`` is accepted and ignored.
+    its representative, masked to each component, lies in that
+    component's zero coset (``_component_realizable``): bridge signs
+    are sums of vertex cuts, so they never change it.  The vertex cap
+    of the automorphisms (``mg.MAX_VERTICES``) is checked first, then
+    the cyclic part and every component's budget (``_components``), and
+    only then are the automorphisms listed (k! edge permutations for k
+    parallel edges) and the components walked.  ``threads`` is accepted
+    and ignored.
     """
     mg._check_cap(g, "automorphisms")
     parts, bridges = _components(g, budget)
     eperms = {ep for (_vp, ep) in mg.automorphisms(g)}
     E = g.n_edges
-    comps = []  # (bit of the least edge, bits of all edges, realizable)
+    comps = []  # (least edge's bit, all edges' bits, realizable, zero coset)
     normals = [0]
-    for sub, _vmap, emap in parts:
-        top = 1 << (E - 1 - min(emap))
-        bits = sum(1 << (E - 1 - e) for e in emap)
-        found = set(_component_realizable(E, sub, emap))
-        comps.append((top, bits, found))
+    for sub, _vmap, _emap, edge_bit in parts:
+        top, bits = max(edge_bit), sum(edge_bit)
+        found, span = map(set, _component_realizable(sub, edge_bit))
+        comps.append((top, bits, found, span))
         mine = {t ^ bits if t & top else t for t in found}
         normals = [x | y for x in normals for y in mine]
 
@@ -520,7 +489,7 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
     # a bit goes to its image, or from a component's least edge to the
     # rest of the component.  images[k] packs bit k's images under all
     # but the identity, E bits each; tables sums them per 4-bit chunk.
-    lowest = {top: bits ^ top for top, bits, _found in comps}
+    lowest = {top: bits ^ top for top, bits, _found, _span in comps}
     to = [lowest.get(1 << k, 1 << k) for k in range(E - 1, -1, -1)]
     perms = [ep for ep in eperms if ep != tuple(range(E))]
     images = [0] * E
@@ -545,19 +514,19 @@ def equivalence_classes(g: Multigraph, threads: int = 1,
         orbit = {x, *[img >> i & mask for i in shifts]}
         seen |= orbit
         ts = list(orbit)  # each component as it is or complemented
-        for _top, bits, found in comps:
+        for _top, bits, found, _span in comps:
             ts = [z for y in ts for z in (y, y ^ bits) if z & bits in found]
-        for e in bridges:
-            ts += [y | 1 << (E - 1 - e) for y in ts]
+        for bit in bridges:
+            ts += [y | bit for y in ts]
         groups.append(sorted(ts))
     groups.sort()  # by representative: each class's least member
     witnesses = _witness_rotations(g, parts, [ts[0] for ts in groups])
-    masks = _cycle_masks(g)
     surfaces = {o: sch._surface(g, 1, o) for o in (False, True)}
     classes = []
     for ts, w in zip(groups, witnesses):
-        odd = any((ts[0] & m).bit_count() & 1 for m in masks)
-        classes.append(StructureClass(g, tuple(ts), w, surfaces[not odd]))
+        orientable = all(ts[0] & bits in span
+                         for _top, bits, _found, span in comps)
+        classes.append(StructureClass(g, tuple(ts), w, surfaces[orientable]))
     return tuple(classes)
 
 
@@ -572,12 +541,15 @@ class Catalog(NamedTuple):
 
 def catalog(q: int, threads: int = 1,
             budget: int | None = DEFAULT_BUDGET) -> Catalog:
+    """Every cubic graph of cycle rank q (``generate_cubic_graphs``)
+    with its structure classes (``equivalence_classes``), in canonical
+    order, and the number of classes in all.  ``threads`` is accepted
+    and ignored."""
     graphs = generate_cubic_graphs(q)
-    per_graph = tuple(tuple(equivalence_classes(g, threads=threads,
-                                                budget=budget))
-                      for g in graphs)
+    per_graph = tuple([equivalence_classes(g, threads=threads, budget=budget)
+                       for g in graphs])
     total = sum(len(cs) for cs in per_graph)
-    return Catalog(q, tuple(graphs), per_graph, total)
+    return Catalog(q, graphs, per_graph, total)
 
 
 def catalog_to_json(cat: Catalog) -> str:

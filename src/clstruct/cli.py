@@ -171,8 +171,8 @@ def _cmd_structures(args) -> int:
                                budget=args.budget)
     else:
         _name, g = mg.parse_graph(_read(args.input))
-        classes = tuple(classify.equivalence_classes(
-            g, threads=args.threads, budget=args.budget))
+        classes = classify.equivalence_classes(g, threads=args.threads,
+                                               budget=args.budget)
         cat = classify.Catalog(mg.cycle_rank(g), (g,), (classes,),
                                len(classes))
     out = (classify.catalog_to_json(cat) if args.format == "json"

@@ -49,22 +49,18 @@ def _anchor(cycle):
 def make_scheme(g: Multigraph, rotation, signs) -> Scheme:
     """Validated constructor; normalizes every rotation to its anchor.
 
-    The darts of every vertex are gathered in one pass over the edges,
-    and each rotation must list exactly those of its vertex."""
+    Each rotation must list exactly the darts of its vertex
+    (``g.darts()``)."""
     rotation = tuple(tuple(c) for c in rotation)
     if len(rotation) != g.n_vertices:
         raise BadRotation(
             f"rotation lists {len(rotation)} vertices, graph has "
             f"{g.n_vertices}")
-    at = [[] for _ in range(g.n_vertices)]
-    for e, (u, w) in enumerate(g.edges):
-        at[u].append(2 * e)
-        at[w].append(2 * e + 1)
-    for v, cyc in enumerate(rotation):
-        if tuple(sorted(cyc)) != tuple(at[v]):
+    for v, (cyc, darts) in enumerate(zip(rotation, g.darts())):
+        if tuple(sorted(cyc)) != darts:
             raise BadRotation(
                 f"rotation at vertex {v} must list darts "
-                f"{tuple(at[v])} exactly once, got {cyc}", v)
+                f"{darts} exactly once, got {cyc}", v)
     try:
         signs = tuple(int(x) for x in signs)
     except (TypeError, ValueError):

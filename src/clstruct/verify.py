@@ -226,8 +226,7 @@ def suite_round_trips(seed=0):
     done = 0
     while done < ROUND_TRIP_CASES:
         s = random_scheme(rng)
-        highs = [v for v in range(s.graph.n_vertices)
-                 if s.graph.degree(v) > 3]
+        highs = [v for v, d in enumerate(s.graph.degrees()) if d > 3]
         if not highs:
             continue
         v = rng.choice(highs)

@@ -564,24 +564,58 @@ def test_coset_search_matches_per_table_oracle(rank4_graphs):
         assert cf.equivalence_classes(g) == oracle_equivalence_classes(g), g
 
 
+def _zero_cosets(g):
+    """Per component of g: the bits of its edges and its zero coset."""
+    parts, _bridges = cf._components(g, cf.DEFAULT_BUDGET)
+    return [(sum(edge_bit), set(cf._component_realizable(sub, edge_bit)[1]))
+            for sub, _vmap, _emap, edge_bit in parts]
+
+
 def test_classes_hold_sorted_packed_tables_and_parity_surfaces(
         rank4_catalog):
     cases = list(zip(rank4_catalog.graphs, rank4_catalog.classes))
     cases += [(g, cf.equivalence_classes(g)) for g in seeded_cyclic_parts()]
     for g, classes in cases:
-        masks = cf._cycle_masks(g)
+        cosets = _zero_cosets(g)
         for c in classes:
             members = c.members
             assert members == tuple(sorted(members))
             assert members[0] == c.representative
             assert tuple(map(cf._pack_signs, members)) == c.tables
             for m, t in zip(members, c.tables):
-                parity = not any((t & mask).bit_count() & 1
-                                 for mask in masks)
-                assert parity == sch.is_orientable(sch.Scheme(g, c.witness,
-                                                              m)), (g, m)
+                zero = all(t & bits in span for bits, span in cosets)
+                assert zero == sch.is_orientable(sch.Scheme(g, c.witness,
+                                                            m)), (g, m)
             assert c.surface.orientable == \
                 sch.is_orientable(sch.Scheme(g, c.witness, members[0]))
+
+
+def test_component_spans_are_the_orientable_tables(rank4_graphs):
+    # each component's zero coset has 2^(V-1) tables and never sets a
+    # loop's sign; up to 12 edges it is every table is_orientable takes
+    graphs = [g for q in (2, 3) for g in cf.generate_cubic_graphs(q)]
+    graphs += list(rank4_graphs)
+    graphs += random.Random(6).sample(cf.generate_cubic_graphs(5), 10)
+    graphs += seeded_cyclic_parts() + [wedge(2), wedge(3)]
+    compared = 0
+    for g in graphs:
+        parts, _bridges = cf._components(g, cf.DEFAULT_BUDGET)
+        for sub, _vmap, _emap, edge_bit in parts:
+            _found, span = cf._component_realizable(sub, edge_bit)
+            assert len(set(span)) == len(span) == 2 ** (sub.n_vertices - 1)
+            loops = sum(bit for bit, (a, b) in zip(edge_bit, sub.edges)
+                        if a == b)
+            assert not any(t & loops for t in span), g
+            if sub.n_edges > 12:
+                continue
+            rotation = sub.darts()
+            orientable = {
+                sum(bit for bit, x in zip(edge_bit, signs) if x)
+                for signs in itertools.product((0, 1), repeat=sub.n_edges)
+                if sch.is_orientable(sch.Scheme(sub, rotation, signs))}
+            assert set(span) == orientable, g
+            compared += 1
+    assert compared >= 100
 
 
 def test_coset_search_is_the_same_with_threads():
@@ -817,11 +851,11 @@ def test_flip_transport_matches_a_turn_table_per_rotation(rank4_graphs):
     for g in graphs:
         E = g.n_edges
         parts, _bridges = cf._components(g, cf.DEFAULT_BUDGET)
-        for sub, _vmap, emap in parts:
+        for sub, _vmap, emap, edge_bit in parts:
             degrees = sub.degrees()
             mixed += 3 in degrees and max(degrees) > 3
-            edge_bit = [1 << (E - 1 - e) for e in emap]
-            tables = cf._component_realizable(E, sub, emap)
+            assert edge_bit == [1 << (E - 1 - e) for e in emap]
+            tables, _span = cf._component_realizable(sub, edge_bit)
             walked = cf._strip_witnesses(sub, edge_bit, tables)
             signs = {tuple(int(t & bit > 0) for bit in edge_bit): t
                      for t in tables}
