@@ -322,11 +322,15 @@ def _render_svg(name, s) -> str:
              '<svg xmlns="http://www.w3.org/2000/svg" width="400" '
              'height="400" viewBox="0 0 400 400">',
              f'  <title>{_xml_text(name)}</title>']
+    # parallel edges are counted per unordered pair; an edge written the
+    # other way round from its class's first gets the opposite offset,
+    # which puts it on the side its k asks for
     seen_pair = {}
     for e, (u, v) in enumerate(g.edges):
         mark = _edge_mark(s, e)
-        k = seen_pair.get((u, v), 0)
-        seen_pair[(u, v)] = k + 1
+        pair = (min(u, v), max(u, v))
+        first, k = seen_pair.get(pair, ((u, v), 0))
+        seen_pair[pair] = first, k + 1
         x1, y1 = pos[u]
         x2, y2 = pos[v]
         if u == v:
@@ -340,6 +344,8 @@ def _render_svg(name, s) -> str:
             dx, dy = x2 - x1, y2 - y1
             norm = math.hypot(dx, dy) or 1.0
             off = 22 * k * (1 if k % 2 else -1) * (1 if k else 0)
+            if (u, v) != first:
+                off = -off
             cx, cy = mx - dy / norm * off, my + dx / norm * off
             parts.append(f'  <path d="M {x1:.1f} {y1:.1f} Q {cx:.1f} '
                          f'{cy:.1f} {x2:.1f} {y2:.1f}" fill="none" '

@@ -475,8 +475,11 @@ def parse_graph(text: str):
         edge <id> <u> <v>
 
     Vertex and edge ids must be dense (0..V-1 / 0..E-1), each declared
-    once; endpoints must reference declared vertices.  A disconnected
-    graph is reported at its graph line.
+    once; endpoints must reference declared vertices.  The name must
+    hold no character that XML 1.0 cannot carry (a C0 control other
+    than whitespace, a surrogate, U+FFFE, U+FFFF), so that every writer,
+    SVG included, can print it.  A disconnected graph is reported at
+    its graph line.
     """
     name = None
     vertices = {}
@@ -493,6 +496,13 @@ def parse_graph(text: str):
             if len(parts) != 2:
                 raise ParseError(lineno, "expected: graph <name>")
             name = parts[1]
+            # split() removed the C0 whitespace, so any c < " " left is
+            # a control character XML 1.0 excludes
+            bad = next((c for c in name if c < " " or c in "\ufffe\uffff"
+                        or "\ud800" <= c <= "\udfff"), None)
+            if bad is not None:
+                raise ParseError(lineno, f"graph name holds U+{ord(bad):04X}, "
+                                         "which XML cannot carry")
             graph_line = lineno
         elif kind == "vertex":
             if len(parts) != 2:

@@ -710,6 +710,35 @@ def test_orientable_wedge_strips_match_harer_zagier_at_k6():
     assert sum(1 for _ in orientable_wedge_strips(wedge(6))) == 5702400
 
 
+def necklace_edges(k):
+    """k digons joined in a ring: vertices 2i and 2i+1 share edges 3i
+    and 3i+1, and edge 3i+2 joins 2i+1 to the next digon's 2i+2."""
+    edges = []
+    for i in range(k):
+        edges += [(2 * i, 2 * i + 1)] * 2
+        edges.append((2 * i + 1, (2 * i + 2) % (2 * k)))
+    return edges
+
+
+def necklace_rule_tables(k):
+    """The sign tables of the k-digon necklace in which at most one
+    digon has an even sign sum (ROADMAP item 8's digon-necklace rule):
+    4^k (k + 1) tables, 2(k + 1) cosets of the 2^(2k - 1) vertex-flip
+    toggles."""
+    return {t for t in itertools.product((0, 1), repeat=3 * k)
+            if sum((t[3 * i] + t[3 * i + 1]) % 2 == 0
+                   for i in range(k)) <= 1}
+
+
+@pytest.mark.parametrize("k, tables", [(2, 48), (3, 256), (4, 1280),
+                                       (5, 6144)])
+def test_digon_necklaces_realize_at_most_one_even_digon(k, tables):
+    expected = necklace_rule_tables(k)
+    assert len(expected) == tables == 2 * (k + 1) * 2 ** (2 * k - 1)
+    g = mg.build(2 * k, necklace_edges(k))
+    assert set(cf.realizable_signs(g, budget=None)) == expected
+
+
 def test_every_class_caps_to_euler_characteristic_two_minus_q(rank4_graphs):
     # a strip has one boundary circle, so euler_closed = V - E + 1 = 2 - q
     for q in (2, 3, 4):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from clstruct import classify as cf
 from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import reduce as rd
@@ -436,6 +438,60 @@ def test_render_svg_escapes_the_name(tmp_path, capsys):
     assert titles == [ODD_NAME]
 
 
+def test_render_svg_of_theta_is_pinned(theta_file, capsys):
+    assert cli.main(["render", "--input", theta_file, "--format",
+                     "svg"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "4388ff53adf4d58ccb8241197f9b168484b41bc4993e93451460afb45e8421db"
+
+
+# THETA with edge 1 written from vertex 1 to vertex 0
+THETA_REVERSED = (THETA.replace("edge 1 0 1", "edge 1 1 0")
+                  .replace("rotation 0 0.0 1.0", "rotation 0 0.0 1.1")
+                  .replace("rotation 1 0.1 1.1", "rotation 1 0.1 1.0"))
+
+
+def _svg_marks(path, capsys):
+    """(x, y, mark) of each edge's label in the SVG of a scheme file."""
+    assert cli.main(["render", "--input", path, "--format", "svg"]) == 0
+    root = ET.fromstring(capsys.readouterr().out)
+    return [(t.get("x"), t.get("y"), t.text) for t in root.iter()
+            if t.tag.endswith("text") and t.text in ("x", "=")]
+
+
+def test_render_svg_draws_reversed_parallel_edges_apart(tmp_path, capsys,
+                                                        theta_file):
+    p = tmp_path / "reversed.txt"
+    p.write_text(THETA_REVERSED)
+    marks = _svg_marks(str(p), capsys)
+    assert len({(x, y) for x, y, _mark in marks}) == 3
+    # the edge written the other way round keeps its place in the picture
+    assert marks == _svg_marks(theta_file, capsys)
+
+
+def test_render_svg_keeps_a_printable_non_ascii_name(tmp_path, capsys):
+    p = tmp_path / "name.txt"
+    p.write_text(THETA.replace("graph theta", "graph \u00e9"),
+                 encoding="utf-8")
+    assert cli.main(["render", "--input", str(p), "--format", "svg"]) == 0
+    root = ET.fromstring(capsys.readouterr().out)
+    titles = [t.text for t in root.iter() if t.tag.endswith("title")]
+    assert titles == ["\u00e9"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace"], ["render", "--format", "svg"], ["structures"]],
+    ids=["trace", "render-svg", "structures"])
+def test_names_xml_cannot_carry_exit_2(tmp_path, capsys, argv):
+    p = tmp_path / "ctl.txt"
+    p.write_text(THETA.replace("graph theta", "graph a\x01b"))
+    assert cli.main(argv[:1] + ["--input", str(p)] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("clstruct: error: line 1: ")
+
+
 def test_render_dot_quotes_the_name(tmp_path, capsys):
     p = tmp_path / "odd.txt"
     p.write_text(THETA.replace("graph theta", f"graph {ODD_NAME}"))
@@ -617,15 +673,32 @@ def _run_fresh(*args):
                           capture_output=True, text=True, check=True)
 
 
-def test_cli_import_loads_no_dataclasses_and_no_verify():
-    # every CLI call pays this import; pytest itself loads dataclasses,
-    # so only a fresh process can see what the import adds
+def _cli_import_loads():
+    """The modules ``import clstruct.cli`` adds in a fresh process."""
+    # every CLI call pays this import; pytest itself loads dataclasses
+    # and concurrent.futures, so only a fresh process can see what the
+    # import adds
     code = ("import sys; before = set(sys.modules); import clstruct.cli; "
             "print(*sorted(set(sys.modules) - before))")
     loaded = _run_fresh("-c", code).stdout.split()
     assert "clstruct.cli" in loaded
+    return loaded
+
+
+def test_cli_import_loads_no_dataclasses_and_no_verify():
+    loaded = _cli_import_loads()
     for name in ("dataclasses", "inspect", "clstruct.verify"):
         assert name not in loaded
+
+
+def test_cli_import_loads_no_thread_pool():
+    loaded = _cli_import_loads()
+    for name in ("concurrent.futures", "logging", "traceback"):
+        assert name not in loaded
+    # the benchmark tracer still reads the name, through the hook
+    assert cf.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cf.no_such_name
 
 
 def test_verify_verb_imports_its_suites():

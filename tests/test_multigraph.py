@@ -545,6 +545,19 @@ def test_parse_reports_line_numbers():
         mg.parse_graph("vertex 0\n")
 
 
+def test_parse_refuses_names_xml_cannot_carry():
+    # every C0 control that is not whitespace, the surrogates, U+FFFE
+    # and U+FFFF are refused; the rest of Unicode is kept
+    for ch in ("\x00", "\x01", "\x08", "\x0e", "\x1b", "\ud800",
+               "\udfff", "\ufffe", "\uffff"):
+        with pytest.raises(ParseError, match="line 2") as err:
+            mg.parse_graph(f"# a name\ngraph a{ch}b\nvertex 0\n")
+        assert f"U+{ord(ch):04X}" in str(err.value)
+    for ch in ("\x7f", "\u00e9", "\ud7ff", "\ue000", "\ufffd",
+               "\U00010000"):
+        assert mg.parse_graph(f"graph a{ch}b\nvertex 0\n")[0] == f"a{ch}b"
+
+
 def test_parse_requires_dense_ids():
     with pytest.raises(ParseError):
         mg.parse_graph("graph g\nvertex 0\nvertex 2\n")
