@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 from . import multigraph as mg
 from . import scheme as sch
-from .errors import BudgetExceeded, NotCyclicPart, TooLarge
+from .errors import BudgetExceeded, TooLarge
 from .multigraph import Multigraph
 from .scheme import Scheme
 
@@ -267,8 +267,7 @@ def _components(g: Multigraph, budget: int | None):
     Every component's budget is checked here (``_check_walk``), before
     any walk and before anything else is built for the search.
     """
-    if not mg.is_cyclic_part(g):
-        raise NotCyclicPart("realizable_signs needs the cyclic part")
+    mg._check_cyclic_part(g, "classification")
     decomp = mg.bridges_and_components(g)
     bit = [1 << e for e in range(g.n_edges - 1, -1, -1)]
     parts = []

@@ -9,8 +9,13 @@ library calls; ``verify`` runs the suites of ``clstruct.verify``.
     clstruct render --input scheme.txt --format svg
     clstruct verify --level default --seed 0
 
+Each subparser names its handler, which returns the exact text of its
+verb's output; ``main`` alone writes it and picks the exit code.  Only
+``verify`` streams its report and returns ``verify.run_verify``'s code.
+
 Exit codes: 0 success, 1 usage error, 2 malformed or invalid input,
-3 budget or size cap exceeded, 4 verification failure.
+3 budget or size cap exceeded, 4 verification failure.  2 and 3 follow
+the exception class, with one ``clstruct: error:`` line on stderr.
 """
 from __future__ import annotations
 
@@ -52,39 +57,47 @@ def _build_parser():
     sub = p.add_subparsers(dest="verb", required=True)
 
     g = sub.add_parser("graphs", help="list cubic multigraphs by cycle rank")
+    g.set_defaults(handler=_cmd_graphs)
     g.add_argument("--q", type=int, required=True)
     g.add_argument("--format", choices=("text", "json"), default="text")
 
     s = sub.add_parser("structures",
                        help="classify structures for a rank or a graph file")
-    s.add_argument("--q", type=int)
-    s.add_argument("--input")
+    s.set_defaults(handler=_cmd_structures)
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--q", type=int)
+    source.add_argument("--input")
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.add_argument("--threads", type=_int_at_least(1), default=1)
     s.add_argument("--budget", type=_int_at_least(0),
                    default=classify.DEFAULT_BUDGET)
 
     t = sub.add_parser("trace", help="boundary-trace a scheme file")
+    t.set_defaults(handler=_cmd_trace)
     t.add_argument("--input", required=True)
     t.add_argument("--format", choices=("text", "json"), default="text")
 
     r = sub.add_parser("reduce", help="expand a scheme to cubic form")
+    r.set_defaults(handler=_cmd_reduce)
     r.add_argument("--input", required=True)
     r.add_argument("--shape", choices=("comb", "balanced"), default="comb")
     r.add_argument("--format", choices=("text", "json"), default="text")
 
     e = sub.add_parser("expand", help="expand one high-degree vertex")
+    e.set_defaults(handler=_cmd_expand)
     e.add_argument("--input", required=True)
     e.add_argument("--vertex", type=int, required=True)
     e.add_argument("--shape", choices=("comb", "balanced"), default="comb")
     e.add_argument("--format", choices=("text", "json"), default="text")
 
     n = sub.add_parser("render", help="draw a scheme (x = switched edge)")
+    n.set_defaults(handler=_cmd_render)
     n.add_argument("--input", required=True)
     n.add_argument("--format", choices=("text", "json", "dot", "svg"),
                    default="text")
 
     v = sub.add_parser("verify", help="run the invariant suites")
+    v.set_defaults(handler=_cmd_verify)
     v.add_argument("--level", choices=("default", "extended"),
                    default="default")
     v.add_argument("--seed", type=int, default=0)
@@ -97,17 +110,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    handler = {
-        "graphs": _cmd_graphs,
-        "structures": _cmd_structures,
-        "trace": _cmd_trace,
-        "reduce": _cmd_reduce,
-        "expand": _cmd_expand,
-        "render": _cmd_render,
-        "verify": _cmd_verify,
-    }[args.verb]
     try:
-        code = handler(args)
+        out = args.handler(args)
+        # verify streams its report itself and returns its exit code
+        code, out = (out, "") if isinstance(out, int) else (0, out)
+        sys.stdout.write(out)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -116,12 +123,9 @@ def main(argv=None) -> int:
         # closed pipe at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (BudgetExceeded, TooLarge) as exc:
-        print(f"clstruct: error: {exc}", file=sys.stderr)
-        return 3
     except (ClstructError, OSError) as exc:
         print(f"clstruct: error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (BudgetExceeded, TooLarge)) else 2
 
 
 def run() -> None:
@@ -140,32 +144,24 @@ def _read(path: str) -> str:
                                f"at byte {exc.start}") from None
 
 
-# --- verb handlers ---
+# --- verb handlers: each returns the exact text of its output ---
 
-def _cmd_graphs(args) -> int:
+def _cmd_graphs(args) -> str:
     graphs = classify.generate_cubic_graphs(args.q)
     if args.format == "json":
-        doc = {"q": args.q, "count": len(graphs),
-               "graphs": [{"n_vertices": g.n_vertices,
-                           "edges": g.edges}
-                          for g in graphs]}
-        print(classify._json(doc), end="")
-        return 0
+        return classify._json({"q": args.q, "count": len(graphs),
+                               "graphs": [{"n_vertices": g.n_vertices,
+                                           "edges": g.edges}
+                                          for g in graphs]})
     if not graphs:
-        print(f"no cubic multigraphs with q = {args.q} "
-              f"(cubic needs V = 2(q-1) > 0)")
-        return 0
-    print(f"{len(graphs)} cubic multigraphs with q = {args.q}")
-    for i, g in enumerate(graphs):
-        print(classify._graph_line(i, g))
-    return 0
+        return (f"no cubic multigraphs with q = {args.q} "
+                f"(cubic needs V = 2(q-1) > 0)\n")
+    lines = [f"{len(graphs)} cubic multigraphs with q = {args.q}"]
+    lines += [classify._graph_line(i, g) for i, g in enumerate(graphs)]
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_structures(args) -> int:
-    if (args.q is None) == (args.input is None):
-        print("clstruct: error: structures needs exactly one of --q/--input",
-              file=sys.stderr)
-        return 1
+def _cmd_structures(args) -> str:
     if args.q is not None:
         cat = classify.catalog(args.q, threads=args.threads,
                                budget=args.budget)
@@ -175,10 +171,8 @@ def _cmd_structures(args) -> int:
                                                budget=args.budget)
         cat = classify.Catalog(mg.cycle_rank(g), (g,), (classes,),
                                len(classes))
-    out = (classify.catalog_to_json(cat) if args.format == "json"
-           else classify.catalog_to_text(cat))
-    print(out, end="")
-    return 0
+    return (classify.catalog_to_json(cat) if args.format == "json"
+            else classify.catalog_to_text(cat))
 
 
 def _trace_doc(name, s):
@@ -197,24 +191,22 @@ def _trace_doc(name, s):
     }
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> str:
     name, s = sch.parse_scheme(_read(args.input))
     doc = _trace_doc(name, s)
     if args.format == "json":
-        print(classify._json(doc), end="")
-        return 0
+        return classify._json(doc)
     switched = " ".join(str(e) for e in doc["switched_edges"]) or "none"
     strip = {True: "yes", False: "no",
              None: "n/a (graph is not its cyclic part)"}[doc["strip"]]
-    print(f"scheme: {doc['name']}")
-    print(f"boundary circles: {doc['boundary_circles']}")
-    print(f"strip: {strip}")
-    print(f"switched edges: {switched}")
-    print(f"orientable: {'yes' if doc['orientable'] else 'no'}")
-    print(f"euler characteristic: patch {doc['euler_patch']}, "
-          f"capped {doc['euler_closed']}")
-    print(f"capped surface: {doc['capped_surface']}")
-    return 0
+    return (f"scheme: {doc['name']}\n"
+            f"boundary circles: {doc['boundary_circles']}\n"
+            f"strip: {strip}\n"
+            f"switched edges: {switched}\n"
+            f"orientable: {'yes' if doc['orientable'] else 'no'}\n"
+            f"euler characteristic: patch {doc['euler_patch']}, "
+            f"capped {doc['euler_closed']}\n"
+            f"capped surface: {doc['capped_surface']}\n")
 
 
 def _scheme_doc(name, s):
@@ -227,38 +219,27 @@ def _scheme_doc(name, s):
             "text": sch.format_scheme(name, s)}
 
 
-def _step_doc(step):
-    return {"kind": step.kind, "vertex": step.vertex, "edge": step.edge,
-            "new_vertices": step.new_vertices,
-            "new_edges": step.new_edges,
-            "dart_map": step.dart_map}
-
-
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> str:
     name, s = sch.parse_scheme(_read(args.input))
     result, steps = rd.reduce_to_cubic(s, tree_shape=args.shape)
     if args.format == "json":
-        doc = {"steps": [_step_doc(st) for st in steps],
-               "scheme": _scheme_doc(f"{name}-cubic", result)}
-        print(classify._json(doc), end="")
-        return 0
-    for i, st in enumerate(steps):
-        print(f"# step {i}: expand vertex {st.vertex} "
-              f"-> internal edges {list(st.new_edges)}")
-    print(sch.format_scheme(f"{name}-cubic", result), end="")
-    return 0
+        return classify._json({"steps": [st._asdict() for st in steps],
+                               "scheme": _scheme_doc(f"{name}-cubic",
+                                                     result)})
+    return "".join([f"# step {i}: expand vertex {st.vertex} "
+                    f"-> internal edges {list(st.new_edges)}\n"
+                    for i, st in enumerate(steps)]
+                   + [sch.format_scheme(f"{name}-cubic", result)])
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> str:
     name, s = sch.parse_scheme(_read(args.input))
     result = rd.expand_vertex(s, args.vertex, tree_shape=args.shape)
     if args.format == "json":
-        doc = {"scheme": _scheme_doc(f"{name}-expanded", result)}
-        print(classify._json(doc), end="")
-        return 0
-    print(f"# expanded vertex {args.vertex} ({args.shape})")
-    print(sch.format_scheme(f"{name}-expanded", result), end="")
-    return 0
+        return classify._json(
+            {"scheme": _scheme_doc(f"{name}-expanded", result)})
+    return (f"# expanded vertex {args.vertex} ({args.shape})\n"
+            + sch.format_scheme(f"{name}-expanded", result))
 
 
 # --- rendering ---
@@ -277,37 +258,31 @@ def _edge_mark(s, e) -> str:
     return "x" if s.signs[e] == 1 else "="
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> str:
     name, s = sch.parse_scheme(_read(args.input))
     g = s.graph
     if args.format == "text":
-        print(f"render {name}")
-        for v in range(g.n_vertices):
-            print(f"vertex {v}")
-        for e, (u, v) in enumerate(g.edges):
-            print(f"edge {e} {u}-{v} {_edge_mark(s, e)}")
-        return 0
+        lines = [f"render {name}"]
+        lines += [f"vertex {v}" for v in range(g.n_vertices)]
+        lines += [f"edge {e} {u}-{v} {_edge_mark(s, e)}"
+                  for e, (u, v) in enumerate(g.edges)]
+        return "\n".join(lines) + "\n"
     if args.format == "json":
         pos = _layout(g)
-        doc = {"name": name,
-               "layout": {str(v): [round(x, 1), round(y, 1)]
-                          for v, (x, y) in pos.items()},
-               "edges": [{"id": e, "u": u, "v": v, "mark": _edge_mark(s, e)}
-                         for e, (u, v) in enumerate(g.edges)]}
-        print(classify._json(doc), end="")
-        return 0
+        return classify._json(
+            {"name": name,
+             "layout": {str(v): [round(x, 1), round(y, 1)]
+                        for v, (x, y) in pos.items()},
+             "edges": [{"id": e, "u": u, "v": v, "mark": _edge_mark(s, e)}
+                       for e, (u, v) in enumerate(g.edges)]})
     if args.format == "dot":
         quoted = name.replace("\\", "\\\\").replace('"', '\\"')
         lines = [f'graph "{quoted}" {{']
-        for v in range(g.n_vertices):
-            lines.append(f"  {v};")
-        for e, (u, v) in enumerate(g.edges):
-            lines.append(f'  {u} -- {v} [label="{_edge_mark(s, e)}"];')
-        lines.append("}")
-        print("\n".join(lines))
-        return 0
-    print(_render_svg(name, s), end="")
-    return 0
+        lines += [f"  {v};" for v in range(g.n_vertices)]
+        lines += [f'  {u} -- {v} [label="{_edge_mark(s, e)}"];'
+                  for e, (u, v) in enumerate(g.edges)]
+        return "\n".join(lines) + "\n}\n"
+    return _render_svg(name, s)
 
 
 def _xml_text(text: str) -> str:

@@ -18,7 +18,8 @@ import itertools
 from collections import defaultdict
 from typing import NamedTuple
 
-from .errors import Disconnected, EndpointOutOfRange, ParseError, TooLarge
+from .errors import (Disconnected, EndpointOutOfRange, NotCyclicPart,
+                     ParseError, TooLarge)
 
 #: Vertex cap of canonical_form and automorphisms.
 MAX_VERTICES = 10
@@ -403,6 +404,16 @@ def _check_cap(g: Multigraph, what: str) -> None:
     if g.n_vertices > MAX_VERTICES:
         raise TooLarge(f"{g.n_vertices} vertices exceeds the {what} cap "
                        f"{MAX_VERTICES}")
+
+
+def _check_cyclic_part(g: Multigraph, what: str) -> None:
+    """Raise NotCyclicPart, naming g's first vertex of degree below 2,
+    when g is not its own cyclic part; ``what`` names the step."""
+    if not is_cyclic_part(g):
+        deg = g.degrees()
+        v = next(v for v, d in enumerate(deg) if d < 2)
+        raise NotCyclicPart(f"{what} needs the cyclic part: vertex {v} "
+                            f"has degree {deg[v]}")
 
 
 def canonical_form(g: Multigraph):

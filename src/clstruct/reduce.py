@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 from . import multigraph as mg
 from .errors import (ClstructError, DegreeTooSmall, LoopContraction,
-                     NoSuchVertex, NotCyclicPart, SwitchedContraction,
-                     UnknownTreeShape)
+                     NoSuchVertex, SwitchedContraction, UnknownTreeShape)
 from .scheme import Scheme, _anchor
 
 
@@ -159,8 +158,7 @@ def reduce_to_cubic(s: Scheme, tree_shape: str = "comb"):
     preserved throughout; the steps invert by contracting each
     expansion's internal edges.
     """
-    if not mg.is_cyclic_part(s.graph):
-        raise NotCyclicPart("reduction expects the cyclic part")
+    mg._check_cyclic_part(s.graph, "reduction")
     steps = []
     # an expansion leaves every other vertex's degree as it was
     for v in [v for v, d in enumerate(s.graph.degrees()) if d > 3]:

@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import multigraph as mg
-from .errors import (BadRotation, MissingSign, NoSuchVertex, NotCyclicPart,
-                     ParseError)
+from .errors import BadRotation, MissingSign, NoSuchVertex, ParseError
 from .multigraph import Multigraph
 
 
@@ -169,9 +168,7 @@ def boundary_trace(s: Scheme) -> BoundaryTrace:
 
 def is_strip(s: Scheme) -> bool:
     """True when the patch has exactly one boundary circle."""
-    if not mg.is_cyclic_part(s.graph):
-        raise NotCyclicPart(
-            "strip test requires a graph equal to its cyclic part")
+    mg._check_cyclic_part(s.graph, "the strip test")
     return boundary_trace(s).b == 1
 
 

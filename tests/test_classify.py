@@ -710,6 +710,32 @@ def test_orientable_wedge_strips_match_harer_zagier_at_k6():
     assert sum(1 for _ in orientable_wedge_strips(wedge(6))) == 5702400
 
 
+@pytest.mark.slow
+def test_rank_6_classes_are_pinned(monkeypatch):
+    # the rank-6 trust gate: every class of the 388 graphs, past the
+    # rank cap and with no budget, hashed in generation and class order
+    # (about 20 s).  A seeded sample of 1,000 representatives is a strip
+    # under its witness by the polygon-gluing oracle.
+    monkeypatch.setattr(cf, "MAX_Q", 6)
+    graphs = cf.generate_cubic_graphs(6)
+    assert len(graphs) == 388
+    sampled = set(random.Random(6).sample(range(378200), 1000))
+    digest = hashlib.sha256()
+    n_classes = n_members = 0
+    for g in graphs:
+        for c in cf.equivalence_classes(g, budget=None):
+            digest.update(repr((g.edges, c.representative, c.tables,
+                                c.witness, c.surface)).encode())
+            if n_classes in sampled:
+                s = sch.Scheme(g, c.witness, c.representative)
+                assert sch.oracle_boundary_count(s) == 1, (g, c.tables[0])
+            n_classes += 1
+            n_members += len(c.tables)
+    assert (n_classes, n_members) == (378200, 4742656)
+    assert digest.hexdigest() == \
+        "448cd43e52e392f93d6bb5a9fc307e3ac0db14784b07cabc5e8fbf12695ea1d2"
+
+
 def necklace_edges(k):
     """k digons joined in a ring: vertices 2i and 2i+1 share edges 3i
     and 3i+1, and edge 3i+2 joins 2i+1 to the next digon's 2i+2."""

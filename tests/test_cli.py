@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -70,6 +71,27 @@ edge 3 0 1
 edge 4 1 1
 edge 5 1 1
 edge 6 1 1
+"""
+
+HUB_SCHEME = HUB + """\
+rotation 0 0.0 1.0 0.1 1.1 2.0
+rotation 1 2.1 3.0 4.0 3.1 4.1
+sign 0 1
+sign 1 0
+sign 2 0
+sign 3 0
+sign 4 1
+"""
+
+# a path is not its own cyclic part: vertex 0 has degree 1
+PATH = """\
+graph path
+vertex 0
+vertex 1
+edge 0 0 1
+rotation 0 0.0
+rotation 1 0.1
+sign 0 0
 """
 
 WEDGE3_GRAPH = """\
@@ -744,3 +766,71 @@ def test_five_loop_wedge_is_budgeted_and_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         "0e45e30f271f7bf14e813598e1d710d592b6386d859f9cc75b3a873fd2bbc2c9"
+
+
+@pytest.mark.parametrize("verb, what", [("structures", "classification"),
+                                        ("reduce", "reduction")])
+def test_a_path_exits_2_naming_its_degree_1_vertex(tmp_path, capsys, verb,
+                                                   what):
+    p = tmp_path / "path.txt"
+    p.write_text(PATH)
+    assert cli.main([verb, "--input", str(p)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"clstruct: error: {what} needs the cyclic part: vertex 0 has "
+        f"degree 1\n"))
+
+
+# Edits of the corpus files: a token is replaced by one of these.
+_TOKENS = ("0", "1", "2", "5", "-1", "0.0", "0.1", "1.1", "2.0", "x",
+           "vertex", "sign", "edge", "")
+
+
+def _mutant(rng, text):
+    """text after one to three seeded line or token edits."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(4)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split() or [""]
+            words[rng.randrange(len(words))] = rng.choice(_TOKENS)
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def test_outputs_on_a_seeded_corpus_are_pinned(tmp_path, capsys):
+    # every verb/format pair on the theta and hub schemes and 200 seeded
+    # edits of them, plus the verbs that read no file.  Usage errors
+    # stay out: argparse words them differently across Python versions.
+    rng = random.Random(0)
+    texts = [THETA, HUB_SCHEME] + [_mutant(rng, (THETA, HUB_SCHEME)[i % 2])
+                                   for i in range(200)]
+    calls = [[verb, "--q", "3", "--format", fmt]
+             for verb in ("graphs", "structures") for fmt in ("text", "json")]
+    calls.append(["verify", "--seed", "0"])
+    pairs = [("structures", "text"), ("structures", "json"),
+             ("trace", "text"), ("trace", "json"), ("reduce", "text"),
+             ("reduce", "json"), ("expand", "text"), ("expand", "json"),
+             ("render", "text"), ("render", "json"), ("render", "dot"),
+             ("render", "svg")]
+    for i, text in enumerate(texts):
+        p = tmp_path / f"s{i}.txt"
+        p.write_text(text, encoding="utf-8")
+        for verb, fmt in pairs:
+            vertex = ["--vertex", "0"] if verb == "expand" else []
+            calls.append([verb, "--input", str(p), "--format", fmt, *vertex])
+    digest = hashlib.sha256()
+    for argv in calls:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        digest.update(repr((code, out, err.replace(str(tmp_path), "<tmp>")))
+                      .encode("utf-8"))
+    assert digest.hexdigest() == \
+        "0d27647f45e63b703e51134a752fbdb71fb52f5f96905cbe702e03b66dd07dc5"
