@@ -47,26 +47,29 @@ RANK4_CASES = 200
 def _boundary_table(tables, g):
     """Every scheme on g with its exact boundary count, traced once.
 
-    Returns (schemes, counts, starts).  ``schemes`` lists
+    Returns (schemes, counts, starts, orient).  ``schemes`` lists
     ``classify.enumerate_schemes(g)`` in its order: rotation by
     rotation, each rotation's sign tables in ``classify._pack_signs``
     order, so the scheme at position i has the packed table
     i & (2^E - 1), E = g.n_edges.  ``counts[i]`` is
-    ``sch.boundary_trace(schemes[i]).b``, and ``starts`` maps each
-    anchored rotation to the position of its first scheme.  Built on
-    first use and kept in the dict ``tables``, keyed by graph, so that
-    the suites of one run enumerate and trace g once.  A vertex flip or
-    component subscheme of an enumerated scheme is again an enumerated
-    scheme (rotations stay anchored), so its count is the lookup
-    ``counts[starts[rotation] + packed table]``.
+    ``sch.boundary_trace(schemes[i]).b``, ``starts`` maps each anchored
+    rotation to the position of its first scheme, and ``orient[t]`` is
+    ``sch.is_orientable`` of packed table t, decided once on the first
+    rotation's schemes (it reads only the graph and the signs).  Built
+    on first use and kept in the dict ``tables``, keyed by graph, so
+    that the suites of one run enumerate and trace g once.  A vertex
+    flip or component subscheme of an enumerated scheme is again an
+    enumerated scheme (rotations stay anchored), so its count is the
+    lookup ``counts[starts[rotation] + packed table]``.
     """
     table = tables.get(g)
     if table is None:
         schemes = list(classify.enumerate_schemes(g))
         counts = bytearray([sch.boundary_trace(s).b for s in schemes])
-        starts = {schemes[i].rotation: i
-                  for i in range(0, len(schemes), 1 << g.n_edges)}
-        table = tables[g] = schemes, counts, starts
+        size = 1 << g.n_edges
+        starts = {schemes[i].rotation: i for i in range(0, len(schemes), size)}
+        orient = [sch.is_orientable(s) for s in schemes[:size]]
+        table = tables[g] = schemes, counts, starts, orient
     return table
 
 
@@ -81,15 +84,6 @@ def _tabled_graphs(tables=None, qs=(2, 3)):
             graphs = tables[q] = classify.generate_cubic_graphs(q)
         for g in graphs:
             yield g, _boundary_table(tables, g)
-
-
-def _orientable(memo, t, s):
-    """``sch.is_orientable(s)``, made once per packed sign table t of
-    one graph and kept in that graph's dict ``memo``."""
-    orient = memo.get(t)
-    if orient is None:
-        orient = memo[t] = sch.is_orientable(s)
-    return orient
 
 
 def suite_closed_forms():
@@ -116,7 +110,7 @@ def suite_closed_forms():
 
 
 def suite_tracer_vs_oracle(tables=None):
-    for g, (schemes, counts, _starts) in _tabled_graphs(tables):
+    for g, (schemes, counts, _starts, _orient) in _tabled_graphs(tables):
         for s, b in zip(schemes, counts):
             if b != sch.oracle_boundary_count(s):
                 return f"tracer/oracle mismatch on {g.edges} {s.signs}"
@@ -124,12 +118,10 @@ def suite_tracer_vs_oracle(tables=None):
 
 
 def suite_flip_invariance(tables=None):
-    for g, (schemes, counts, starts) in _tabled_graphs(tables):
+    for g, (schemes, counts, starts, orient) in _tabled_graphs(tables):
         mask = (1 << g.n_edges) - 1
-        memo = {}
         for i, s in enumerate(schemes):
             b = counts[i]
-            orient = _orientable(memo, i & mask, s)
             for v in range(g.n_vertices):
                 f = sch.vertex_flip(s, v)
                 start = starts.get(f.rotation)
@@ -139,14 +131,14 @@ def suite_flip_invariance(tables=None):
                 ft = classify._pack_signs(f.signs)
                 if counts[start + ft] != b:
                     return f"flip at {v} changed b on {g.edges} {s.signs}"
-                if _orientable(memo, ft, f) != orient:
+                if orient[ft] != orient[i & mask]:
                     return f"flip at {v} changed orientability"
     return None
 
 
 def suite_strip_decomposition(tables=None):
     tables = {} if tables is None else tables
-    for g, (schemes, counts, _starts) in _tabled_graphs(tables):
+    for g, (schemes, counts, _starts, _orient) in _tabled_graphs(tables):
         parts = [mg._restrict(g, comp.vertices, comp.edges)
                  for comp in mg.bridges_and_components(g).components]
         part_tables = [_boundary_table(tables, part[0]) for part in parts]
@@ -156,7 +148,7 @@ def suite_strip_decomposition(tables=None):
                 t = sch._subscheme(s, part)
                 if t.graph is not part[0]:  # then it needs its own table
                     table = _boundary_table(tables, t.graph)
-                _schemes, sub_counts, sub_starts = table
+                _schemes, sub_counts, sub_starts, _orient = table
                 start = sub_starts.get(t.rotation)
                 if start is None:
                     return (f"component subscheme is not an enumerated "
@@ -171,7 +163,7 @@ def suite_strip_decomposition(tables=None):
 
 
 def suite_cycle_components_switched(tables=None):
-    for g, (schemes, counts, _starts) in _tabled_graphs(tables):
+    for g, (schemes, counts, _starts, _orient) in _tabled_graphs(tables):
         decomp = mg.bridges_and_components(g)
         for s, b in zip(schemes, counts):
             if b != 1:
@@ -187,11 +179,10 @@ def suite_cycle_components_switched(tables=None):
 
 
 def suite_odd_rank_non_orientable(tables=None):
-    for g, (schemes, counts, _starts) in _tabled_graphs(tables, qs=(3,)):
+    for g, (schemes, counts, _, orient) in _tabled_graphs(tables, qs=(3,)):
         mask = (1 << g.n_edges) - 1
-        memo = {}
         for i, s in enumerate(schemes):
-            if counts[i] == 1 and _orientable(memo, i & mask, s):
+            if counts[i] == 1 and orient[i & mask]:
                 return f"orientable strip with odd rank: {g.edges} {s.signs}"
     return None
 
@@ -258,7 +249,7 @@ def wedge_classes_reached(q, tables=None):
     index_of = {t: i for i, c in enumerate(classes) for t in c.tables}
     reached = set()
     seen = set()
-    stack = [s for _g, (schemes, counts, _starts)
+    stack = [s for _g, (schemes, counts, _starts, _orient)
              in _tabled_graphs(tables, qs=(q,))
              for s, b in zip(schemes, counts) if b == 1]
     while stack:

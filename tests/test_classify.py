@@ -736,6 +736,88 @@ def test_rank_6_classes_are_pinned(monkeypatch):
         "448cd43e52e392f93d6bb5a9fc307e3ac0db14784b07cabc5e8fbf12695ea1d2"
 
 
+_BITS = bytes.maketrans(bytes([0, 1]), b"01")
+
+
+def _byte_table(bits):
+    """The OR of bits[j] over the set bits j of each byte value."""
+    table = [0]
+    for bit in bits:
+        table += [v | bit for v in table]
+    return table
+
+
+def burnside_classes(g):
+    """The class count of g from ``realizable_signs``, the components
+    and the automorphisms alone, after asserting that every
+    automorphism maps the realizable set R into itself.
+
+    By Burnside, over the distinct edge permutations A, it is (1/|A|)
+    times the sum over sigma of #{x in N : sigma x xor x in M}: N the
+    normal forms of R (bridge bits cleared, a component complemented
+    when its least edge is 1), M the span of the component masks and
+    the bridge bits.  Tables pack with edge 0 in the top bit, and sigma
+    moves them through two 8-bit lookup tables, so E <= 16."""
+    E = g.n_edges
+    assert E <= 16
+    bit = [1 << (E - 1 - e) for e in range(E)]
+    realizable = [int(bytes(t).translate(_BITS), 2)
+                  for t in cf.realizable_signs(g, budget=None)]
+    decomp = mg.bridges_and_components(g)
+    comps = [(sum(bit[e] for e in c.edges), bit[min(c.edges)])
+             for c in decomp.components]
+    span = [0]
+    for mask in [m for m, _least in comps] + [bit[e] for e in decomp.bridges]:
+        span += [m ^ mask for m in span]
+    span = set(span)
+    bridges = sum(bit[e] for e in decomp.bridges)
+    normal = set()
+    for x in realizable:
+        x &= ~bridges
+        for mask, least in comps:
+            if x & least:
+                x ^= mask
+        normal.add(x)
+    realized = set(realizable)
+    eperms = {ep for _vp, ep in mg.automorphisms(g)}
+    fixed = 0
+    for ep in eperms:
+        # x'[e] = x[ep[e]]: the bit of edge ep[e] moves to edge e's bit
+        move = [0] * 16
+        for e, f in enumerate(ep):
+            move[E - 1 - f] = bit[e]
+        low, high = _byte_table(move[:8]), _byte_table(move[8:])
+        assert realized.issuperset(
+            [low[x & 255] | high[x >> 8] for x in realizable]), (g, ep)
+        fixed += sum((low[x & 255] | high[x >> 8]) ^ x in span
+                     for x in normal)
+    assert fixed % len(eperms) == 0
+    return fixed // len(eperms)
+
+
+def check_burnside(q, total):
+    n = 0
+    for g in cf.generate_cubic_graphs(q):
+        classes = burnside_classes(g)
+        assert classes == len(cf.equivalence_classes(g, budget=None)), g
+        n += classes
+    assert n == total
+
+
+@pytest.mark.parametrize("q, total", [(3, 18), (4, 292), (5, 8187)])
+def test_realizable_sets_are_closed_and_classes_match_burnside(q, total):
+    check_burnside(q, total)
+
+
+@pytest.mark.slow
+def test_rank_6_realizable_sets_are_closed_and_classes_match_burnside(
+        monkeypatch):
+    # the rest of the rank-6 trust gate: closure under the automorphisms
+    # and the class count by Burnside on each of the 388 graphs
+    monkeypatch.setattr(cf, "MAX_Q", 6)
+    check_burnside(6, 378200)
+
+
 def necklace_edges(k):
     """k digons joined in a ring: vertices 2i and 2i+1 share edges 3i
     and 3i+1, and edge 3i+2 joins 2i+1 to the next digon's 2i+2."""

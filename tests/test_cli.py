@@ -426,6 +426,21 @@ def test_decomposition_suite_fails_on_an_unanchored_restriction(monkeypatch):
     assert "not an enumerated scheme" in verify.suite_strip_decomposition()
 
 
+def test_decomposition_suite_reads_a_foreign_graph_from_its_own_table(
+        monkeypatch):
+    # a restriction onto another graph than the part's (here with a loop
+    # added at vertex 0) must be counted on that graph's own table, not
+    # reported as missing from the part's
+    def add_a_loop(t, s, part):
+        g = t.graph
+        rotation = (t.rotation[0] + (2 * g.n_edges, 2 * g.n_edges + 1),)
+        return sch.Scheme(mg.build(g.n_vertices, g.edges + ((0, 0),)),
+                          rotation + t.rotation[1:], t.signs + (0,))
+    _plant(monkeypatch, "_subscheme", add_a_loop)
+    assert "disagrees with component counts" in \
+        verify.suite_strip_decomposition()
+
+
 def test_decomposition_suite_catches_a_wrong_restriction(monkeypatch):
     def drop_first_switched(t, s, part):
         if 1 not in t.signs:

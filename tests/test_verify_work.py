@@ -1,6 +1,7 @@
-"""The work of one `clstruct verify` run: what it enumerates, how it
-reads packed sign tables, how many contractions the wedge walk makes,
-and how many traces the rank-4 spot checks make."""
+"""The work of one `clstruct verify` run: what it enumerates, how often
+it decides orientability, how it reads packed sign tables, how many
+contractions the wedge walk makes, and how many traces the rank-4 spot
+checks make."""
 import collections
 
 from clstruct import classify, verify
@@ -25,6 +26,21 @@ def test_a_run_enumerates_each_graph_once(monkeypatch, capsys):
     assert sum(calls.values()) == 12
 
 
+def test_a_run_decides_orientability_once_per_table(monkeypatch, capsys):
+    # one call per packed sign table of each of the 10 tabled graphs;
+    # 489 when the flip and odd-rank suites each kept their own memo
+    calls = [0]
+    real = sch.is_orientable
+
+    def counted(s):
+        calls[0] += 1
+        return real(s)
+    monkeypatch.setattr(sch, "is_orientable", counted)
+    assert verify.run_verify("default", 1) == 0
+    capsys.readouterr()
+    assert calls[0] == 359
+
+
 def test_list_position_gives_the_packed_sign_table():
     # the suites read a listed scheme's packed table off its position
     tables = {}
@@ -33,12 +49,14 @@ def test_list_position_gives_the_packed_sign_table():
     cubic = [g for q in (2, 3) for g in tables[q]]
     assert len(graphs) == 10 and set(cubic) < set(graphs)
     for g in graphs:
-        schemes, counts, starts = tables[g]
+        schemes, counts, starts, orient = tables[g]
         mask = (1 << g.n_edges) - 1
         assert len(schemes) == len(counts) == len(starts) << g.n_edges
+        assert len(orient) == mask + 1
         for i, s in enumerate(schemes):
             assert i & mask == classify._pack_signs(s.signs)
             assert starts[s.rotation] == i - (i & mask)
+            assert orient[i & mask] == sch.is_orientable(s)
 
 
 def test_wedge_walk_contracts_every_order(monkeypatch):
