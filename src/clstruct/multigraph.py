@@ -7,10 +7,11 @@ and therefore contributes 2 to the degree.
 
 Everything here targets small instances.  Canonical forms come from
 an exact labeling search, pruned by prefix bounds, that finds the
-lexicographically least relabeled edge list; automorphism groups from a
-backtracking search that extends a vertex map along a breadth-first
-order.  Both keep a ten-vertex cap (``MAX_VERTICES``).  Nothing else
-here is meant to scale.
+lexicographically least relabeled edge list and keeps its sorted edge
+rows up to date as labels are placed and lifted; automorphism groups
+from a backtracking search that extends a vertex map along a
+breadth-first order.  Both keep a ten-vertex cap (``MAX_VERTICES``).
+Nothing else here is meant to scale.
 """
 from __future__ import annotations
 
@@ -268,6 +269,16 @@ def _least_form(g: Multigraph) -> tuple:
     an automorphism, fixing every labeled vertex, takes from a tried one
     is skipped: its branch gives the same lists.  Edge ``(x, y)`` is
     coded ``x*n + y``.
+
+    The rows are kept incrementally, not rebuilt at each node: giving
+    label k to v appends ``y*n + k`` to the row of each labeled
+    neighbour y, which keeps every row sorted since k is the largest
+    label, and backtracking pops it.  A count per vertex of its edges to
+    unlabeled vertices moves ``a`` forward without a rescan, and the
+    candidates come from the neighbours of ``a``.  The prefix is the
+    finished rows plus row ``a``.  The search tree and the pruning are
+    those of the search that rebuilt every row, so the least list is
+    the same.
     """
     n = g.n_vertices
     deg = g.degrees()
@@ -276,38 +287,33 @@ def _least_form(g: Multigraph) -> tuple:
         nbrs[u][w] = nbrs[u].get(w, 0) + 1
         if u != w:
             nbrs[w][u] = nbrs[w].get(u, 0) + 1
+    adj = [sorted(d.items()) for d in nbrs]  # (neighbour, multiplicity)
     label_deg = sorted(deg)
+    block = {}
+    for v, d in enumerate(deg):
+        block.setdefault(d, []).append(v)
+    unl = [deg[v] - 2 * nbrs[v].get(v, 0) for v in range(n)]  # to unlabeled
+    rows = [[] for _ in range(n)]  # by label y: the codes y*n + z, z >= y
     lab = [-1] * n
     order = []
     best = best_order = None
     auts = []  # automorphisms found at ties, as lists p with v -> p[v]
 
     def search(k, done, start):
-        """done: the rows of order[:start], complete at the caller."""
+        """done: the rows of the labels below start, all finished."""
         nonlocal best, best_order
-        prefix = done
-        a = -1
-        for x in range(start, k):
-            row = []
-            for w, m in nbrs[order[x]].items():
-                y = lab[w]
-                if y < 0:
-                    a = x
-                elif y >= x:
-                    row += [x * n + y] * m
-            row.sort()
-            prefix = prefix + row
-            if a >= 0:
-                break
-            done, start = prefix, x + 1
+        while start < k and not unl[order[start]]:
+            done = done + rows[start]
+            start += 1
+        a = start if start < k else -1
+        prefix = done + rows[a] if a >= 0 else done
         if best is not None:
-            m = len(prefix)
-            head = best[:m]
-            if prefix > head:
+            if prefix > best:  # as prefix > best[:len(prefix)]
                 return
-            if prefix == head and m < len(best):
+            m = len(prefix)
+            if m < len(best):
                 bound = a * n + k if a >= 0 else k * n + k
-                if bound > best[m]:
+                if bound > best[m] and prefix == best[:m]:
                     return
         if k == n:
             if best is None or prefix < best:
@@ -318,21 +324,41 @@ def _least_form(g: Multigraph) -> tuple:
                     p[v] = w
                 auts.append(p)
             return
-        cands = [v for v in range(n) if lab[v] < 0 and deg[v] == label_deg[k]]
-        if a >= 0:
-            joins = [nbrs[order[a]].get(v, 0) for v in cands]
-            top = max(joins)
-            if top:
-                cands = [v for v, m in zip(cands, joins) if m == top]
+        d = label_deg[k]
+        cands = None
+        if a >= 0:  # the unlabeled ones of d with the most edges to a
+            top = 0
+            for w, m in adj[order[a]]:
+                if lab[w] < 0 and deg[w] == d:
+                    if m > top:
+                        top, cands = m, [w]
+                    elif m == top:
+                        cands.append(w)
+        if cands is None:
+            cands = [v for v in block[d] if lab[v] < 0]
         tried = set()
         for v in cands:
             if v in tried:
                 continue
             lab[v] = k
             order.append(v)
+            for w, m in adj[v]:
+                y = lab[w]
+                if y >= 0:
+                    rows[y] += [y * n + k] * m
+                if w != v:
+                    unl[w] -= m
             search(k + 1, done, start)
+            for w, m in adj[v]:
+                y = lab[w]
+                if y >= 0:
+                    del rows[y][-m:]
+                if w != v:
+                    unl[w] += m
             order.pop()
             lab[v] = -1
+            if len(cands) == 1:
+                break
             tried.add(v)
             if auts and len(tried) < len(cands):  # skip v's images
                 fixing = [p for p in auts if all(p[u] == u for u in order)]

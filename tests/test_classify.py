@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import hashlib
 import itertools
@@ -845,6 +846,55 @@ def test_digon_necklaces_realize_at_most_one_even_digon(k, tables):
     assert len(expected) == tables == 2 * (k + 1) * 2 ** (2 * k - 1)
     g = mg.build(2 * k, necklace_edges(k))
     assert set(cf.realizable_signs(g, budget=None)) == expected
+
+
+def _union_find_roots(n, edges):
+    """Union-find root of every vertex over the given edges."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    return [find(x) for x in range(n)]
+
+
+def xuong_xi(n, edges):
+    """Xuong's xi: the least number, over all spanning trees, of cotree
+    components with an odd number of edges (N. H. Xuong, JCTB 26
+    (1979)), by brute force over every set of n - 1 edges."""
+    least = len(edges)
+    for tree in itertools.combinations(range(len(edges)), n - 1):
+        if len(set(_union_find_roots(n, [edges[e] for e in tree]))) > 1:
+            continue
+        cotree = [edges[e] for e in range(len(edges)) if e not in tree]
+        roots = _union_find_roots(n, cotree)
+        sizes = collections.Counter(roots[u] for u, _ in cotree)
+        least = min(least, sum(c % 2 for c in sizes.values()))
+    return least
+
+
+def _bridgeless(g):
+    """True when deleting any one edge leaves g connected."""
+    return all(len(set(_union_find_roots(
+        g.n_vertices, g.edges[:e] + g.edges[e + 1:]))) == 1
+        for e in range(g.n_edges))
+
+
+def test_zero_table_is_realizable_exactly_when_xuong_xi_is_zero():
+    # an orientable one-face embedding exists iff xi = 0 (ROADMAP item 8)
+    graphs = [g for q in (2, 3, 4, 5) for g in cf.generate_cubic_graphs(q)
+              if _bridgeless(g)]
+    assert len(graphs) == 24
+    seen = set()
+    for g in graphs:
+        zero = (0,) * g.n_edges in cf.realizable_signs(g)
+        assert zero == (xuong_xi(g.n_vertices, g.edges) == 0), g
+        seen.add(zero)
+    assert seen == {False, True}
 
 
 def test_every_class_caps_to_euler_characteristic_two_minus_q(rank4_graphs):

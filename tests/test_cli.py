@@ -609,6 +609,8 @@ POINT_JSON = """\
 @pytest.mark.parametrize("argv, digest", [
     (["graphs", "--q", "3"],
      "b1f5b32b39ab2f9ed0b5b6d06974de7eeca6a6c5c2711eea7290a1a2763cd50c"),
+    (["graphs", "--q", "5"],
+     "eb22aafedf31bbd721bca046f70e2b4aac136b9a22e92f224ef2e0d693002f01"),
     (["trace", "--input", "theta_file"],
      "32051349a044577a6e989b96c6013826e7b1100e19737c474e685b64b84e1376"),
     (["trace", "--input", "wedge_file"],
@@ -624,8 +626,9 @@ POINT_JSON = """\
      "91c7e08bfe428907e98631423c21c4191c6dff59cca927c4dcf6a4540985eac1"),
     (["render", "--input", "wedge_file"],
      "d0f19ca779a1aaa73d0c00654abf7a11e46de224e4935846db7eb9d8d4ebe8da"),
-], ids=["graphs-q3", "trace-theta", "trace-wedge", "reduce-theta",
-        "reduce-wedge", "expand-wedge", "render-theta", "render-wedge"])
+], ids=["graphs-q3", "graphs-q5", "trace-theta", "trace-wedge",
+        "reduce-theta", "reduce-wedge", "expand-wedge", "render-theta",
+        "render-wedge"])
 def test_verb_json_is_pinned(request, capsys, argv, digest):
     # each fixture name in argv stands for the path of its scheme file
     argv = [request.getfixturevalue(a) if a.endswith("_file") else a

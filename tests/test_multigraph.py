@@ -8,7 +8,7 @@ from clstruct import classify, verify
 from clstruct import multigraph as mg
 from clstruct.errors import (Disconnected, EndpointOutOfRange, ParseError,
                              TooLarge)
-from helpers import fundamental_cycle_basis
+from helpers import fundamental_cycle_basis, reference_least_form
 
 
 def theta():
@@ -461,9 +461,8 @@ def test_orbit_pruned_insertion_matches_the_unpruned_walk(q, census):
     assert census[q] == _unpruned_census(q)
 
 
-@pytest.mark.parametrize("q, most", [(4, 60), (5, 398)])
-def test_orbit_pruning_bounds_canonical_form_calls(q, most, monkeypatch):
-    # the unpruned walk makes 155 calls at q = 4 and 1,073 at q = 5
+def _canonical_form_inputs(q, monkeypatch):
+    """Every graph generate_cubic_graphs(q) passes to canonical_form."""
     calls = []
     form = mg.canonical_form
 
@@ -473,7 +472,38 @@ def test_orbit_pruning_bounds_canonical_form_calls(q, most, monkeypatch):
 
     monkeypatch.setattr(mg, "canonical_form", counting)
     classify.generate_cubic_graphs(q)
-    assert len(calls) <= most
+    return calls
+
+
+@pytest.mark.parametrize("q, most", [(4, 60), (5, 398)])
+def test_orbit_pruning_bounds_canonical_form_calls(q, most, monkeypatch):
+    # the unpruned walk makes 155 calls at q = 4 and 1,073 at q = 5
+    assert len(_canonical_form_inputs(q, monkeypatch)) <= most
+
+
+def _assert_rows_match_the_rebuilding_search(graphs):
+    for g in graphs:
+        assert mg._least_form(g) == reference_least_form(g), g
+
+
+def test_incremental_rows_match_the_rebuilding_search(monkeypatch):
+    # the only check at 8-10 vertices: the brute-force oracle stops at 7
+    graphs = _canonical_form_inputs(5, monkeypatch)
+    assert len(graphs) == 398
+    rng = random.Random(10)
+    graphs += [verify.random_multigraph(rng, max_vertices=10, max_extra=8)
+               for _ in range(500)]
+    assert max(g.n_vertices for g in graphs) == 10
+    _assert_rows_match_the_rebuilding_search(graphs)
+
+
+@pytest.mark.slow
+def test_incremental_rows_match_the_rebuilding_search_at_rank_6(
+        monkeypatch):
+    monkeypatch.setattr(classify, "MAX_Q", 6)
+    graphs = _canonical_form_inputs(6, monkeypatch)
+    assert len(graphs) == 3142
+    _assert_rows_match_the_rebuilding_search(graphs)
 
 
 def test_rank_6_census_past_the_cap(monkeypatch):
