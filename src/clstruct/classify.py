@@ -47,13 +47,15 @@ The budget bounds every walk (``_check_walk``): each component is
 checked (``_components``) before the first strip test and before the
 graph's automorphisms are listed.  The search runs on the calling
 thread (``threads`` arguments are accepted and ignored: under the GIL
-a pool only adds work), and documents are written by ``json.dumps``.
+a pool only adds work), and documents are written by ``json.dumps``
+through ``scheme._write``.  The CLI imports this module only in the
+verbs that classify (``graphs``, ``structures``; ``verify`` through
+its suites), so the scheme verbs never load it.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from typing import NamedTuple
 
@@ -562,8 +564,8 @@ def catalog(q: int, threads: int = 1,
 
 
 def catalog_to_json(cat: Catalog) -> str:
-    """Deterministic JSON rendering: the bytes ``_json`` gives the
-    catalog document, written in one flat pass into one list.
+    """Deterministic JSON rendering: the bytes ``scheme._json`` gives
+    the catalog document, written in one flat pass into one list.
 
     The layout is fixed, so each class is the ``_CLASS`` template with
     its keys in sorted order.  Members and representatives are joined
@@ -574,7 +576,8 @@ def catalog_to_json(cat: Catalog) -> str:
     surfaces = {}
     out = ['{\n  "graphs": [']
     for gi, (g, classes) in enumerate(zip(cat.graphs, cat.classes)):
-        out.append(_GRAPH % ("," if gi else "", _write(g.edges, "\n      ")))
+        out.append(_GRAPH % ("," if gi else "",
+                             sch._write(g.edges, "\n      ")))
         # each member's text opens with its "," separator; [1:] drops one
         k, rows = _bit_texts([t for c in classes for t in c.tables],
                              g.n_edges, "\n            ", ",\n            [")
@@ -584,7 +587,7 @@ def catalog_to_json(cat: Catalog) -> str:
         for ci, c in enumerate(classes):
             start, end = end, end + k * len(c.tables)
             if c.witness not in rotations:
-                rotations[c.witness] = _write(
+                rotations[c.witness] = sch._write(
                     [list(map(sch.dart_name, cyc)) for cyc in c.witness],
                     "\n          ")
             sf = c.surface
@@ -592,8 +595,8 @@ def catalog_to_json(cat: Catalog) -> str:
                    sf.genus if sf.orientable else sf.crosscaps,
                    sf.orientable)
             if key not in surfaces:
-                surfaces[key] = _write(dict(zip(_SURFACE_KEYS, key)),
-                                       "\n          ")
+                surfaces[key] = sch._write(dict(zip(_SURFACE_KEYS, key)),
+                                           "\n          ")
             out.append(_CLASS % ("," if ci else "",
                                  "".join(rows[start:end])[1:],
                                  "".join(reps[k * ci:k * ci + k]),
@@ -644,21 +647,6 @@ def _bit_chunks(width: int, nl: str, head: str) -> tuple:
         chunks.append((shift, [first + bit.join(_bits(v, n)) + last
                                for v in range(1 << n)]))
     return tuple(chunks)
-
-
-def _json(doc) -> str:
-    """The JSON layout of every document: the bytes of
-    ``json.dumps(doc, sort_keys=True, indent=2)`` and a final newline.
-    ``catalog_to_json`` writes the same layout for its one fixed
-    document without building the document."""
-    return _write(doc, "\n") + "\n"
-
-
-def _write(x, nl: str) -> str:
-    """The JSON text of x; nl is a newline and the indent of the line x
-    starts on.  A JSON text holds no raw newline (strings escape it),
-    so every newline ``json.dumps`` writes is a line break."""
-    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _graph_line(i: int, g: Multigraph) -> str:

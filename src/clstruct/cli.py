@@ -13,6 +13,14 @@ Each subparser names its handler, which returns the exact text of its
 verb's output; ``main`` alone writes it and picks the exit code.  Only
 ``verify`` streams its report and returns ``verify.run_verify``'s code.
 
+Every CLI call pays this module's import, so it loads only what all
+verbs share: ``multigraph``, ``scheme`` (with the JSON writer
+``scheme._json``) and ``reduce``.  ``graphs`` and ``structures`` import
+``clstruct.classify`` in their handlers and ``verify`` imports
+``clstruct.verify``; ``trace``, ``reduce``, ``expand`` and ``render``
+load neither.  The ``--budget`` default, ``classify.DEFAULT_BUDGET``,
+is put in by ``structures`` when the flag is absent.
+
 Exit codes: 0 success, 1 usage error, 2 malformed or invalid input,
 3 budget or size cap exceeded, 4 verification failure.  2 and 3 follow
 the exception class, with one ``clstruct: error:`` line on stderr.
@@ -24,7 +32,6 @@ import math
 import os
 import sys
 
-from . import classify
 from . import multigraph as mg
 from . import reduce as rd
 from . import scheme as sch
@@ -69,8 +76,7 @@ def _build_parser():
     source.add_argument("--input")
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.add_argument("--threads", type=_int_at_least(1), default=1)
-    s.add_argument("--budget", type=_int_at_least(0),
-                   default=classify.DEFAULT_BUDGET)
+    s.add_argument("--budget", type=_int_at_least(0))
 
     t = sub.add_parser("trace", help="boundary-trace a scheme file")
     t.set_defaults(handler=_cmd_trace)
@@ -147,12 +153,13 @@ def _read(path: str) -> str:
 # --- verb handlers: each returns the exact text of its output ---
 
 def _cmd_graphs(args) -> str:
+    from . import classify  # imported here: the scheme verbs never load it
     graphs = classify.generate_cubic_graphs(args.q)
     if args.format == "json":
-        return classify._json({"q": args.q, "count": len(graphs),
-                               "graphs": [{"n_vertices": g.n_vertices,
-                                           "edges": g.edges}
-                                          for g in graphs]})
+        return sch._json({"q": args.q, "count": len(graphs),
+                          "graphs": [{"n_vertices": g.n_vertices,
+                                      "edges": g.edges}
+                                     for g in graphs]})
     if not graphs:
         return (f"no cubic multigraphs with q = {args.q} "
                 f"(cubic needs V = 2(q-1) > 0)\n")
@@ -162,13 +169,15 @@ def _cmd_graphs(args) -> str:
 
 
 def _cmd_structures(args) -> str:
+    from . import classify
+    # to the library None means no budget; an absent flag means the default
+    budget = classify.DEFAULT_BUDGET if args.budget is None else args.budget
     if args.q is not None:
-        cat = classify.catalog(args.q, threads=args.threads,
-                               budget=args.budget)
+        cat = classify.catalog(args.q, threads=args.threads, budget=budget)
     else:
         _name, g = mg.parse_graph(_read(args.input))
         classes = classify.equivalence_classes(g, threads=args.threads,
-                                               budget=args.budget)
+                                               budget=budget)
         cat = classify.Catalog(mg.cycle_rank(g), (g,), (classes,),
                                len(classes))
     return (classify.catalog_to_json(cat) if args.format == "json"
@@ -195,7 +204,7 @@ def _cmd_trace(args) -> str:
     name, s = sch.parse_scheme(_read(args.input))
     doc = _trace_doc(name, s)
     if args.format == "json":
-        return classify._json(doc)
+        return sch._json(doc)
     switched = " ".join(str(e) for e in doc["switched_edges"]) or "none"
     strip = {True: "yes", False: "no",
              None: "n/a (graph is not its cyclic part)"}[doc["strip"]]
@@ -223,9 +232,8 @@ def _cmd_reduce(args) -> str:
     name, s = sch.parse_scheme(_read(args.input))
     result, steps = rd.reduce_to_cubic(s, tree_shape=args.shape)
     if args.format == "json":
-        return classify._json({"steps": [st._asdict() for st in steps],
-                               "scheme": _scheme_doc(f"{name}-cubic",
-                                                     result)})
+        return sch._json({"steps": [st._asdict() for st in steps],
+                          "scheme": _scheme_doc(f"{name}-cubic", result)})
     return "".join([f"# step {i}: expand vertex {st.vertex} "
                     f"-> internal edges {list(st.new_edges)}\n"
                     for i, st in enumerate(steps)]
@@ -236,7 +244,7 @@ def _cmd_expand(args) -> str:
     name, s = sch.parse_scheme(_read(args.input))
     result = rd.expand_vertex(s, args.vertex, tree_shape=args.shape)
     if args.format == "json":
-        return classify._json(
+        return sch._json(
             {"scheme": _scheme_doc(f"{name}-expanded", result)})
     return (f"# expanded vertex {args.vertex} ({args.shape})\n"
             + sch.format_scheme(f"{name}-expanded", result))
@@ -269,7 +277,7 @@ def _cmd_render(args) -> str:
         return "\n".join(lines) + "\n"
     if args.format == "json":
         pos = _layout(g)
-        return classify._json(
+        return sch._json(
             {"name": name,
              "layout": {str(v): [round(x, 1), round(y, 1)]
                         for v, (x, y) in pos.items()},

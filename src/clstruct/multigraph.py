@@ -276,9 +276,11 @@ def _least_form(g: Multigraph) -> tuple:
     label, and backtracking pops it.  A count per vertex of its edges to
     unlabeled vertices moves ``a`` forward without a rescan, and the
     candidates come from the neighbours of ``a``.  The prefix is the
-    finished rows plus row ``a``.  The search tree and the pruning are
-    those of the search that rebuilt every row, so the least list is
-    the same.
+    finished rows plus row ``a``.  Each node keeps the tie
+    automorphisms that fix its labeled vertices and adds to them only
+    those found since it last looked.  The search tree and the pruning
+    are those of the search that rebuilt every row, so the least list
+    is the same.
     """
     n = g.n_vertices
     deg = g.degrees()
@@ -337,6 +339,7 @@ def _least_form(g: Multigraph) -> tuple:
         if cands is None:
             cands = [v for v in block[d] if lab[v] < 0]
         tried = set()
+        fixing, seen = [], 0  # the auts that fix order, of auts[:seen]
         for v in cands:
             if v in tried:
                 continue
@@ -361,7 +364,10 @@ def _least_form(g: Multigraph) -> tuple:
                 break
             tried.add(v)
             if auts and len(tried) < len(cands):  # skip v's images
-                fixing = [p for p in auts if all(p[u] == u for u in order)]
+                # order is fixed at this node, so only auts[seen:] are new
+                fixing += [p for p in auts[seen:]
+                           if all(p[u] == u for u in order)]
+                seen = len(auts)
                 stack = [v]
                 while stack:
                     x = stack.pop()

@@ -17,6 +17,7 @@ must always agree; the second exists purely to check the first.
 """
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 from . import multigraph as mg
@@ -458,3 +459,18 @@ def format_scheme(name: str, s: Scheme) -> str:
     for e, x in enumerate(s.signs):
         lines.append(f"sign {e} {x}")
     return "\n".join(lines) + "\n"
+
+
+def _json(doc) -> str:
+    """The JSON layout of every document: the bytes of
+    ``json.dumps(doc, sort_keys=True, indent=2)`` and a final newline.
+    ``classify.catalog_to_json`` writes the same layout for its one
+    fixed document without building the document."""
+    return _write(doc, "\n") + "\n"
+
+
+def _write(x, nl: str) -> str:
+    """The JSON text of x; nl is a newline and the indent of the line x
+    starts on.  A JSON text holds no raw newline (strings escape it),
+    so every newline ``json.dumps`` writes is a line break."""
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)

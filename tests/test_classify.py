@@ -711,6 +711,42 @@ def test_orientable_wedge_strips_match_harer_zagier_at_k6():
     assert sum(1 for _ in orientable_wedge_strips(wedge(6))) == 5702400
 
 
+def zagier_dipole_strips(n):
+    """Strips among the all-0 schemes on the n-edge dipole.
+
+    With the darts of each vertex read in the order of their edges, an
+    anchored rotation pair is a pair of n-cycles (s, t), and the all-0
+    scheme has one boundary circle exactly when the face permutation
+    s t is an n-cycle.  For each s there are as many such t as ways to
+    write a given n-cycle as a product of two n-cycles: 2 (n-1)!/(n+1) at odd n and none at even n
+    (D. Zagier, "On the distribution of the number of cycles of elements
+    in symmetric groups", Nieuw Arch. Wisk. 13 (1995); R. P. Stanley,
+    "Two enumerative results on cycles of permutations", Europ. J.
+    Combin. 32 (2011)).  So 2 ((n-1)!)^2/(n+1) strips at odd n.
+    """
+    if n % 2 == 0:
+        return 0
+    return 2 * math.factorial(n - 1) ** 2 // (n + 1)
+
+
+def test_orientable_dipole_strips_match_zagier():
+    assert [zagier_dipole_strips(n) for n in range(2, 7)] == \
+        [0, 2, 0, 192, 0]
+    for n in range(2, 7):  # n = 6: 120^2 = 14,400 rotation pairs
+        g = mg.build(2, [(0, 1)] * n)
+        # edge e has dart 2e at vertex 0 and 2e + 1 at vertex 1; each
+        # cyclic order starts at its smallest dart
+        at = [[(v,) + rest for rest in itertools.permutations(
+            range(v + 2, 2 * n, 2))] for v in (0, 1)]
+        traced = oracle = 0
+        for r0 in at[0]:
+            for r1 in at[1]:
+                s = sch.make_scheme(g, [r0, r1], [0] * n)
+                traced += sch.boundary_trace(s).b == 1
+                oracle += sch.oracle_boundary_count(s) == 1
+        assert traced == oracle == zagier_dipole_strips(n)
+
+
 @pytest.mark.slow
 def test_rank_6_classes_are_pinned(monkeypatch):
     # the rank-6 trust gate: every class of the 388 graphs, past the

@@ -727,7 +727,8 @@ def _cli_import_loads():
 
 def test_cli_import_loads_no_dataclasses_and_no_verify():
     loaded = _cli_import_loads()
-    for name in ("dataclasses", "inspect", "clstruct.verify"):
+    for name in ("dataclasses", "inspect", "clstruct.verify",
+                 "clstruct.classify"):
         assert name not in loaded
 
 
@@ -744,6 +745,17 @@ def test_cli_import_loads_no_thread_pool():
 def test_verify_verb_imports_its_suites():
     out = _run_fresh("-m", "clstruct", "verify", "--seed", "1").stdout
     assert out.splitlines()[-1] == "8/8 suites passed"
+
+
+def test_classifying_verbs_import_the_classifier():
+    # the CLI module no longer loads clstruct.classify: graphs and
+    # structures import it in their handlers
+    out = _run_fresh("-m", "clstruct", "graphs", "--q", "3").stdout
+    assert out.splitlines()[0] == "5 cubic multigraphs with q = 3"
+    out = _run_fresh("-m", "clstruct", "structures", "--q", "2",
+                     "--format", "json").stdout
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "2bff8aeca20ec1b68def0e8a58973c603ab082badb7bbc4601318629fb812f71"
 
 
 def test_eleven_loop_wedge_exits_3_in_bounded_memory(tmp_path):

@@ -8,7 +8,6 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clstruct import classify as cf
 from clstruct import multigraph as mg
 from clstruct import reduce as rd
 from clstruct import scheme as sch
@@ -121,4 +120,4 @@ JSON_DOCS = st.recursive(
 @FIXED
 @given(JSON_DOCS)
 def test_json_writer_matches_json_dumps(doc):
-    assert cf._json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert sch._json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
