@@ -14,8 +14,8 @@ to cubic trees and back, and renders schemes.  See the ``clstruct``
 command for the CLI.
 
 Import each name from its module: ``clstruct.multigraph``,
-``clstruct.scheme``, ``clstruct.classify``, ``clstruct.reduce`` and
-``clstruct.errors``.  The package itself loads none of them, so a CLI
-call loads only the modules its verb uses.
+``clstruct.scheme``, ``clstruct.classify``, ``clstruct.reduce``,
+``clstruct.verify`` and ``clstruct.errors``.  The package itself loads
+none of them, so a CLI call loads only the modules its verb uses.
 """
 __version__ = "0.1.0"

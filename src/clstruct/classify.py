@@ -198,8 +198,7 @@ def generate_cubic_graphs(q: int) -> tuple:
         for n, edges in parents:
             for child in _edge_insertions(n, edges):
                 seen.add(mg.canonical_form(Multigraph(n + 2, child)))
-    return tuple(mg.build(vcount, list(es))
-                 for (vcount, es) in sorted(seen))
+    return tuple(Multigraph(vcount, es) for (vcount, es) in sorted(seen))
 
 
 def _edge_insertions(n: int, edges: tuple):

@@ -522,11 +522,17 @@ def parse_graph(text: str):
     hold no character that XML 1.0 cannot carry (a C0 control other
     than whitespace, a surrogate, U+FFFE, U+FFFF), so that every writer,
     SVG included, can print it.  A disconnected graph is reported at
-    its graph line.
+    its graph line.  Rotation and sign lines are left to parse_scheme.
     """
+    return _parse(text)[:2]
+
+
+def _parse(text: str):
+    """The one scan: (name, graph, vertex lines, edge lines, scheme lines)."""
     name = None
     vertices = {}
     edge_lines = {}
+    scheme_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -562,7 +568,7 @@ def parse_graph(text: str):
                 raise ParseError(lineno, f"duplicate edge id {eid}")
             edge_lines[eid] = (lineno, u, v)
         elif kind in ("rotation", "sign"):
-            continue  # scheme-format lines; ignored by the graph parser
+            scheme_lines.append((lineno, parts))
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
     if name is None:
@@ -582,9 +588,10 @@ def parse_graph(text: str):
             raise ParseError(lineno, f"edge {eid} references unknown vertex")
         edges.append((u, v))
     try:
-        return name, build(len(vertices), edges)
+        g = build(len(vertices), edges)
     except Disconnected as exc:
         raise Disconnected(f"line {graph_line}: {exc}") from None
+    return name, g, vertices, edge_lines, scheme_lines
 
 
 def _int_token(lineno, token):

@@ -400,21 +400,15 @@ def parse_scheme(text: str):
 
     where darts are written ``<edge-id>.0`` / ``<edge-id>.1``.  Every
     vertex with darts needs a rotation line and every edge a sign line.
-    A bad rotation is reported at its rotation line (or at the vertex
-    line when there is none), a missing sign at the edge line.
+    Graph errors are reported first, then rotation and sign lines in file
+    order, all from one scan (``multigraph._parse``): a bad rotation at its
+    rotation line, else its vertex line, and a missing sign at its edge line.
     """
-    name, g = mg.parse_graph(text)
+    name, g, vertex_lines, edge_lines, scheme_lines = mg._parse(text)
     rotations = {}
     signs = {}
-    lines = {}  # (directive, id) -> line number
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] in ("vertex", "edge"):
-            lines[parts[0], int(parts[1])] = lineno  # checked by parse_graph
-        elif parts[0] == "rotation":
+    for lineno, parts in scheme_lines:
+        if parts[0] == "rotation":
             if len(parts) < 2:
                 raise ParseError(lineno, "expected: rotation <vertex> <darts>")
             v = mg._int_token(lineno, parts[1])
@@ -424,8 +418,8 @@ def parse_scheme(text: str):
                 raise ParseError(lineno, f"duplicate rotation for vertex {v}")
             rotations[v] = [_parse_dart(lineno, t, g.n_edges)
                             for t in parts[2:]]
-            lines["rotation", v] = lineno
-        elif parts[0] == "sign":
+            vertex_lines[v] = lineno  # a bad rotation is reported here
+        else:  # a sign line
             if len(parts) != 3:
                 raise ParseError(lineno, "expected: sign <edge> <0|1>")
             e = mg._int_token(lineno, parts[1])
@@ -438,15 +432,14 @@ def parse_scheme(text: str):
             signs[e] = int(parts[2])
     if len(signs) != g.n_edges:
         missing = sorted(set(range(g.n_edges)) - set(signs))
-        raise MissingSign(f"line {lines['edge', missing[0]]}: "
+        raise MissingSign(f"line {edge_lines[missing[0]][0]}: "
                           f"no sign for edges {missing}")
     rotation = [rotations.get(v, ()) for v in range(g.n_vertices)]
     try:
         s = make_scheme(g, rotation, [signs[e] for e in range(g.n_edges)])
     except BadRotation as exc:
         v = exc.vertex
-        line = lines.get(("rotation", v), lines["vertex", v])
-        raise BadRotation(f"line {line}: {exc}", v) from None
+        raise BadRotation(f"line {vertex_lines[v]}: {exc}", v) from None
     return name, s
 
 

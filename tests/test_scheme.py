@@ -426,3 +426,62 @@ def test_parse_scheme_errors():
         sch.parse_scheme(base + "rotation 0 0.0 0.1\nsign 0 1\nsign 0 1\n")
     with pytest.raises(BadRotation):
         sch.parse_scheme(base + "sign 0 1\n")  # rotation line missing
+
+
+# a two-vertex, two-edge graph on lines 1-5, then its scheme lines from 6
+_DIPOLE2 = "graph g\nvertex 0\nvertex 1\nedge 0 0 1\nedge 1 0 1\n"
+_ROTATIONS = "rotation 0 0.0 1.0\nrotation 1 0.1 1.1\n"
+_SIGNS = "sign 0 0\nsign 1 1\n"
+
+
+@pytest.mark.parametrize("text, exc, message", [
+    (_DIPOLE2 + "rotation\n" + _SIGNS, ParseError,
+     "line 6: expected: rotation <vertex> <darts>"),
+    (_DIPOLE2 + _ROTATIONS + "sign 0\nsign 1 1\n", ParseError,
+     "line 8: expected: sign <edge> <0|1>"),
+    (_DIPOLE2 + _ROTATIONS + "sign 0 0 1\nsign 1 1\n", ParseError,
+     "line 8: expected: sign <edge> <0|1>"),
+    (_DIPOLE2 + "rotation 2 0.0\n" + _SIGNS, ParseError,
+     "line 6: rotation for unknown vertex 2"),
+    (_DIPOLE2 + "rotation x 0.0\n" + _SIGNS, ParseError,
+     "line 6: expected an integer, got 'x'"),
+    (_DIPOLE2 + _ROTATIONS + "sign 2 0\n", ParseError,
+     "line 8: sign for unknown edge 2"),
+    (_DIPOLE2 + _ROTATIONS + "rotation 0 1.0 0.0\n" + _SIGNS, ParseError,
+     "line 8: duplicate rotation for vertex 0"),
+    (_DIPOLE2 + _ROTATIONS + _SIGNS + "sign 1 0\n", ParseError,
+     "line 10: duplicate sign for edge 1"),
+    (_DIPOLE2 + "rotation 0 0.2 1.0\n", ParseError,
+     "line 6: bad dart '0.2', expected <edge>.0|.1"),
+    (_DIPOLE2 + "rotation 0 x.0 1.0\n", ParseError, "line 6: bad dart 'x.0'"),
+    (_DIPOLE2 + "rotation 0 0.0 2.0\n", ParseError,
+     "line 6: dart '2.0' references unknown edge"),
+    (_DIPOLE2 + _ROTATIONS + "sign 0 2\n", ParseError,
+     "line 8: sign value must be 0 or 1"),
+    (_DIPOLE2 + _ROTATIONS + "sign 0 0\n", MissingSign,
+     "line 5: no sign for edges [1]"),
+    (_DIPOLE2 + "rotation 0 0.0 1.0\n" + _SIGNS, BadRotation,
+     "line 3: rotation at vertex 1 must list darts (1, 3) exactly once, "
+     "got ()"),
+    (_DIPOLE2 + "rotation 0 0.1 1.1\nrotation 1 0.0 1.0\n" + _SIGNS,
+     BadRotation, "line 6: rotation at vertex 0 must list darts (0, 2) "
+     "exactly once, got (1, 3)"),
+    # graph errors come first, even below a malformed rotation line
+    ("graph g\nvertex 0\nrotation\nedge 0 0 3\n", ParseError,
+     "line 4: edge 0 references unknown vertex"),
+    ("graph g\nvertex 0\nedge 0 0 0\nrotation 0 x.0\nbogus\n", ParseError,
+     "line 5: unknown directive 'bogus'"),
+])
+def test_parse_scheme_error_messages_are_pinned(text, exc, message):
+    with pytest.raises(exc) as info:
+        sch.parse_scheme(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_parse_scheme_reads_directives_in_any_order():
+    ordered = _DIPOLE2 + _ROTATIONS + _SIGNS
+    shuffled = ("sign 1 1\nrotation 1 0.1 1.1\n" + _DIPOLE2
+                + "rotation 0 0.0 1.0\n# a comment\n\nsign 0 0\n")
+    assert sch.parse_scheme(shuffled) == sch.parse_scheme(ordered)
+    assert sch.parse_scheme(ordered)[1].signs == (0, 1)
