@@ -13,9 +13,8 @@ decides realizability of sign assignments, reduces high-degree vertices
 to cubic trees and back, and renders schemes.  See the ``clstruct``
 command for the CLI.
 
-Import each name from its module: ``clstruct.multigraph``,
-``clstruct.scheme``, ``clstruct.classify``, ``clstruct.reduce``,
-``clstruct.verify`` and ``clstruct.errors``.  The package itself loads
-none of them, so a CLI call loads only the modules its verb uses.
+Import each name from its module in ``clstruct``: ``multigraph``,
+``scheme``, ``classify``, ``reduce``, ``render``, ``verify`` or ``errors``.
+The package loads none of them, so a CLI call loads only what its verb uses.
 """
 __version__ = "0.1.0"

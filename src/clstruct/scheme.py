@@ -17,7 +17,6 @@ must always agree; the second exists purely to check the first.
 """
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from . import multigraph as mg
@@ -466,4 +465,5 @@ def _write(x, nl: str) -> str:
     """The JSON text of x; nl is a newline and the indent of the line x
     starts on.  A JSON text holds no raw newline (strings escape it),
     so every newline ``json.dumps`` writes is a line break."""
+    import json  # loaded at the first write: most CLI calls write no JSON
     return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)

@@ -747,6 +747,35 @@ def test_orientable_dipole_strips_match_zagier():
         assert traced == oracle == zagier_dipole_strips(n)
 
 
+def genus_distribution(g, boundary_count):
+    """Rotations of g by the genus of their all-0 (orientable) scheme,
+    with b from boundary_count: V - E + b = 2 - 2 genus."""
+    dist = [0] * (mg.cycle_rank(g) // 2 + 1)
+    zeros = (0,) * g.n_edges
+    for rotation in cf._rotations(g):
+        b = boundary_count(sch.Scheme(g, rotation, zeros))
+        genus, odd = divmod(2 - (g.n_vertices - g.n_edges + b), 2)
+        assert not odd
+        dist[genus] += 1
+    return dist
+
+
+@pytest.mark.parametrize("q, edges, expected", [
+    (3, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], [2, 14]),
+    (4, [(a, b) for a in range(3) for b in range(3, 6)], [0, 40, 24]),
+], ids=["K4", "K3,3"])
+def test_genus_distributions_match_gross_furst(q, edges, expected):
+    # the published genus distributions of K4 and K3,3 (J. L. Gross and
+    # M. L. Furst, "Hierarchy for imbedding-distribution invariants of a
+    # graph", J. Graph Theory 11 (1987)), by the tracer and the oracle
+    g = mg.build(2 * (q - 1), edges)
+    # a generated graph is its own canonical form (V, edges)
+    assert mg.canonical_form(g) in cf.generate_cubic_graphs(q)
+    assert genus_distribution(g, lambda s: sch.boundary_trace(s).b) == \
+        expected
+    assert genus_distribution(g, sch.oracle_boundary_count) == expected
+
+
 @pytest.mark.slow
 def test_rank_6_classes_are_pinned(monkeypatch):
     # the rank-6 trust gate: every class of the 388 graphs, past the

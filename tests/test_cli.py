@@ -14,6 +14,7 @@ from clstruct import classify as cf
 from clstruct import cli
 from clstruct import multigraph as mg
 from clstruct import reduce as rd
+from clstruct import render
 from clstruct import scheme as sch
 from clstruct import verify
 from clstruct.errors import ClstructError
@@ -483,6 +484,16 @@ def test_render_svg_of_theta_is_pinned(theta_file, capsys):
         "4388ff53adf4d58ccb8241197f9b168484b41bc4993e93451460afb45e8421db"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "dot", "svg"])
+def test_render_library_entry_matches_the_cli(tmp_path, capsys, fmt):
+    p = tmp_path / "scheme.txt"
+    for text in (THETA, HUB_SCHEME):
+        p.write_text(text)
+        assert cli.main(["render", "--input", str(p), "--format", fmt]) == 0
+        assert render.render(*sch.parse_scheme(text), fmt) == \
+            capsys.readouterr().out
+
+
 # THETA with edge 1 written from vertex 1 to vertex 0
 THETA_REVERSED = (THETA.replace("edge 1 0 1", "edge 1 1 0")
                   .replace("rotation 0 0.0 1.0", "rotation 0 0.0 1.1")
@@ -740,6 +751,28 @@ def test_cli_import_loads_no_thread_pool():
     assert cf.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor
     with pytest.raises(AttributeError, match="no_such_name"):
         cf.no_such_name
+
+
+def test_cli_import_loads_no_json_reduce_or_render():
+    loaded = _cli_import_loads()
+    for name in ("json", "json.decoder", "json.encoder", "json.scanner",
+                 "_json", "clstruct.reduce", "clstruct.render"):
+        assert name not in loaded
+
+
+def test_scheme_verbs_import_what_they_use(theta_file, wedge_file, capsys):
+    # pytest has loaded json and clstruct.reduce already, so only a
+    # fresh process shows a handler that leaves out its own import
+    calls = [["trace", "--input", theta_file, "--format", "json"]]
+    calls += [["render", "--input", theta_file, "--format", fmt]
+              for fmt in ("text", "json", "dot", "svg")]
+    calls += [["reduce", "--input", wedge_file, "--format", "json"],
+              ["expand", "--input", wedge_file, "--vertex", "0",
+               "--format", "json"]]
+    for argv in calls:
+        assert cli.main(argv) == 0
+        assert _run_fresh("-m", "clstruct", *argv).stdout == \
+            capsys.readouterr().out
 
 
 def test_verify_verb_imports_its_suites():
