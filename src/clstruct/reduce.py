@@ -55,7 +55,8 @@ def contract_unswitched(s: Scheme, e: int) -> Scheme:
 
     ``s`` must be a valid scheme with anchored rotations, as
     ``make_scheme`` returns; the result is then one too, and is built
-    without validating it again.
+    without validating it again.  Only the merged rotation is anchored
+    again: the other rotations keep their order and their least dart.
     """
     g = s.graph
     if not (0 <= e < g.n_edges):
@@ -73,16 +74,20 @@ def contract_unswitched(s: Scheme, e: int) -> Scheme:
     rotation[u] = _anchor(ru[:iu] + rv[iv + 1:] + rv[:iv] + ru[iu + 1:])
     del rotation[v]
 
-    # new id of each old vertex: v becomes u, ids above v drop by one
-    ids = [*range(v), u - (u > v), *range(v, g.n_vertices - 1)]
-    # the shift keeps the order of the darts left, so every anchor holds
-    rotation = tuple(tuple([t - 2 if t > h else t for t in cyc])
-                     for cyc in rotation)
-    edges = tuple([(ids[a], ids[b])
+    # the shift keeps the order of the darts left, so every anchor
+    # holds; a cycle with every dart below h (or none, as at the point
+    # left by a lone edge) keeps its ids
+    for i, cyc in enumerate(rotation):
+        if cyc and max(cyc) > h:
+            rotation[i] = tuple([t - 2 if t > h else t for t in cyc])
+    # v becomes u, vertex ids above v drop by one
+    w = u - (u > v)
+    edges = tuple([(w if a == v else a - (a > v), w if b == v else b - (b > v))
                    for a, b in g.edges[:e] + g.edges[e + 1:]])
     signs = s.signs[:e] + s.signs[e + 1:]
     # contracting a non-loop edge keeps the graph connected
-    return Scheme(mg.Multigraph(g.n_vertices - 1, edges), rotation, signs)
+    return Scheme(mg.Multigraph(g.n_vertices - 1, edges), tuple(rotation),
+                  signs)
 
 
 def expand_vertex(s: Scheme, v: int, tree_shape: str = "comb") -> Scheme:

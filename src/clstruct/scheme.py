@@ -239,11 +239,13 @@ def vertex_flip(s: Scheme, v: int) -> Scheme:
 
     ``s`` must be a valid scheme with anchored rotations, as
     ``make_scheme`` returns; the result is then one too, and is built
-    without validating it again."""
+    without validating it again.  The reversed rotation of v keeps its
+    least dart first, so it is anchored without a search."""
     if not (0 <= v < s.graph.n_vertices):
         raise NoSuchVertex(f"no vertex {v}")
     rotation = list(s.rotation)
-    rotation[v] = _anchor(reversed(rotation[v]))
+    cyc = rotation[v]
+    rotation[v] = cyc[:1] + cyc[:0:-1]
     signs = list(s.signs)
     for h in s.rotation[v]:  # a loop has both darts here: toggled twice
         signs[h >> 1] ^= 1

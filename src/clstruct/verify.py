@@ -231,39 +231,36 @@ def suite_round_trips(seed=0):
 def wedge_classes_reached(q, tables=None):
     """Wedge classes reachable by contracting cubic strips of rank q.
 
-    Walks every contraction order from the cubic strips down to
-    single-vertex schemes; returns (reached, total classes).  A
-    single-vertex scheme in no class adds None to ``reached``.  The
-    strips are the listed schemes with count 1 in ``tables`` (see
-    ``_boundary_table``).
+    Contracts every forest of unswitched edges of every cubic strip,
+    down to the single-vertex schemes; returns (reached, total
+    classes).  A single-vertex scheme in no class adds None to
+    ``reached``.  The strips are the listed schemes with count 1 in
+    ``tables`` (see ``_boundary_table``).
 
-    The walk contracts before its ``seen`` check on purpose: a child's
-    key (its graph, rotation and signs) exists only once its
-    contraction has built it.  ``seen`` keeps a scheme reached by two
-    orders from being walked twice, so every unswitched non-loop edge
-    of every scheme reached is contracted once, whatever the walk
-    order: 28 contractions at q = 2, 13,160 at q = 3.
+    A forest is contracted in increasing original edge id only: each
+    stack entry carries a scheme, the original ids of its edges and the
+    last id contracted, and contracts only edges of larger id.  So each
+    forest of each strip is contracted along exactly one path, and the
+    walk keeps no set of the schemes it has reached: 28 contractions at
+    q = 2, 9,024 at q = 3.
     """
     wedge = mg.build(1, [(0, 0)] * q)
     classes = classify.equivalence_classes(wedge)
     index_of = {t: i for i, c in enumerate(classes) for t in c.tables}
     reached = set()
-    seen = set()
-    stack = [s for _g, (schemes, counts, _starts, _orient)
+    stack = [(s, tuple(range(g.n_edges)), -1)
+             for g, (schemes, counts, _starts, _orient)
              in _tabled_graphs(tables, qs=(q,))
              for s, b in zip(schemes, counts) if b == 1]
     while stack:
-        s = stack.pop()
-        key = (s.graph.n_vertices, s.graph.edges, s.rotation, s.signs)
-        if key in seen:
-            continue
-        seen.add(key)
+        s, ids, last = stack.pop()
         if s.graph.n_vertices == 1:
             reached.add(index_of.get(classify._pack_signs(s.signs)))
             continue
         for e, (u, v) in enumerate(s.graph.edges):
-            if u != v and s.signs[e] == 0:
-                stack.append(rd.contract_unswitched(s, e))
+            if ids[e] > last and u != v and s.signs[e] == 0:
+                stack.append((rd.contract_unswitched(s, e),
+                              ids[:e] + ids[e + 1:], ids[e]))
     return reached, len(classes)
 
 

@@ -3,8 +3,13 @@ from collections import defaultdict
 
 from clstruct import classify as cf
 from clstruct import multigraph as mg
+from clstruct import reduce as rd
 from clstruct import scheme as sch
+from clstruct import verify
+from clstruct.errors import (ClstructError, LoopContraction, NoSuchVertex,
+                             SwitchedContraction)
 from clstruct.multigraph import Multigraph
+from clstruct.scheme import Scheme, _anchor
 
 
 def fundamental_cycle_basis(g: Multigraph) -> tuple:
@@ -168,3 +173,79 @@ def reference_least_form(g: Multigraph) -> tuple:
 
     search(0, [], 0)
     return tuple(divmod(c, n) for c in best)
+
+
+def reference_wedge_walk(q, tables=None):
+    """``verify.wedge_classes_reached`` as it was before it contracted
+    each forest in edge-id order: every contraction order is walked,
+    and a ``seen`` set of every scheme reached keeps a scheme from
+    being walked twice.  The two must reach the same one-vertex
+    schemes.
+    """
+    wedge = mg.build(1, [(0, 0)] * q)
+    classes = cf.equivalence_classes(wedge)
+    index_of = {t: i for i, c in enumerate(classes) for t in c.tables}
+    reached = set()
+    seen = set()
+    stack = [s for _g, (schemes, counts, _starts, _orient)
+             in verify._tabled_graphs(tables, qs=(q,))
+             for s, b in zip(schemes, counts) if b == 1]
+    while stack:
+        s = stack.pop()
+        key = (s.graph.n_vertices, s.graph.edges, s.rotation, s.signs)
+        if key in seen:
+            continue
+        seen.add(key)
+        if s.graph.n_vertices == 1:
+            reached.add(index_of.get(cf._pack_signs(s.signs)))
+            continue
+        for e, (u, v) in enumerate(s.graph.edges):
+            if u != v and s.signs[e] == 0:
+                stack.append(rd.contract_unswitched(s, e))
+    return reached, len(classes)
+
+
+def reference_contract_unswitched(s: Scheme, e: int) -> Scheme:
+    """``reduce.contract_unswitched`` as it was before it kept the
+    cycles below the contracted darts and renumbered endpoints without
+    an id list: every cycle is shifted and every endpoint looked up."""
+    g = s.graph
+    if not (0 <= e < g.n_edges):
+        raise ClstructError(f"no edge {e}")
+    u, v = g.edges[e]
+    if u == v:
+        raise LoopContraction(f"edge {e} is a loop")
+    if s.signs[e] != 0:
+        raise SwitchedContraction(f"edge {e} is switched; flip a vertex first")
+
+    h, k = 2 * e, 2 * e + 1
+    ru, rv = s.rotation[u], s.rotation[v]
+    iu, iv = ru.index(h), rv.index(k)
+    rotation = list(s.rotation)
+    rotation[u] = _anchor(ru[:iu] + rv[iv + 1:] + rv[:iv] + ru[iu + 1:])
+    del rotation[v]
+
+    # new id of each old vertex: v becomes u, ids above v drop by one
+    ids = [*range(v), u - (u > v), *range(v, g.n_vertices - 1)]
+    # the shift keeps the order of the darts left, so every anchor holds
+    rotation = tuple(tuple([t - 2 if t > h else t for t in cyc])
+                     for cyc in rotation)
+    edges = tuple([(ids[a], ids[b])
+                   for a, b in g.edges[:e] + g.edges[e + 1:]])
+    signs = s.signs[:e] + s.signs[e + 1:]
+    # contracting a non-loop edge keeps the graph connected
+    return Scheme(mg.Multigraph(g.n_vertices - 1, edges), rotation, signs)
+
+
+def reference_vertex_flip(s: Scheme, v: int) -> Scheme:
+    """``scheme.vertex_flip`` as it was before it reversed an anchored
+    rotation in place of anchoring the reversed one again."""
+    if not (0 <= v < s.graph.n_vertices):
+        raise NoSuchVertex(f"no vertex {v}")
+    rotation = list(s.rotation)
+    rotation[v] = _anchor(reversed(rotation[v]))
+    signs = list(s.signs)
+    for h in s.rotation[v]:  # a loop has both darts here: toggled twice
+        signs[h >> 1] ^= 1
+    # valid by construction: the same darts per vertex, signs still 0/1
+    return Scheme(s.graph, tuple(rotation), tuple(signs))

@@ -12,6 +12,7 @@ from clstruct.verify import random_scheme, roundtrip_once
 from clstruct.errors import (ClstructError, DegreeTooSmall, LoopContraction,
                              NoSuchVertex, NotCyclicPart, SwitchedContraction,
                              UnknownTreeShape)
+from helpers import reference_contract_unswitched, reference_vertex_flip
 
 
 def wedge_scheme(rotation, signs):
@@ -84,6 +85,28 @@ def test_moves_build_valid_schemes_on_every_cubic_scheme():
                                            r.signs) == r
                 count += len(made)
     assert count == 10_336 + 12_352  # subschemes + contractions
+
+
+def test_verify_moves_match_their_references():
+    """contract_unswitched and vertex_flip give what they gave before
+    they skipped re-anchoring: on every unswitched non-loop edge and
+    every vertex of every rank-2/3 cubic scheme and of 2,000 seeded
+    random schemes, which have loops and vertices of degree above 3."""
+    schemes = [s for q in (2, 3) for g in cf.generate_cubic_graphs(q)
+               for s in cf.enumerate_schemes(g)]
+    rng = random.Random(2000)
+    schemes += [random_scheme(rng) for _ in range(2000)]
+    contractions = flips = 0
+    for s in schemes:
+        for e, (u, v) in enumerate(s.graph.edges):
+            if u != v and s.signs[e] == 0:
+                assert rd.contract_unswitched(s, e) == \
+                    reference_contract_unswitched(s, e)
+                contractions += 1
+        for v in range(s.graph.n_vertices):
+            assert sch.vertex_flip(s, v) == reference_vertex_flip(s, v)
+            flips += 1
+    assert (contractions, flips) == (12_352 + 5_473, 20_608 + 9_048)
 
 
 def test_contract_preserves_boundary_everywhere():

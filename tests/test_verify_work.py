@@ -1,13 +1,15 @@
 """The work of one `clstruct verify` run: what it enumerates, how often
 it decides orientability, how it reads packed sign tables, how many
-contractions the wedge walk makes, and how many traces the rank-4 spot
-checks make."""
+contractions the wedge walk makes, what it reaches and the memory it
+takes, and how many traces the rank-4 spot checks make."""
 import collections
+import tracemalloc
 
 from clstruct import classify, verify
 from clstruct import multigraph as mg
 from clstruct import reduce as rd
 from clstruct import scheme as sch
+from helpers import reference_wedge_walk
 
 
 def test_a_run_enumerates_each_graph_once(monkeypatch, capsys):
@@ -60,8 +62,9 @@ def test_list_position_gives_the_packed_sign_table():
 
 
 def test_wedge_walk_contracts_every_order(monkeypatch):
-    # the count of a walk over every contraction order, whatever the
-    # order: a walk that skips orders has to change this on purpose
+    # each forest of unswitched edges of each strip is contracted once,
+    # in edge-id order; 13,160 at q = 3 when every order was walked and
+    # a seen set kept a scheme from being walked twice
     calls = [0]
     real = rd.contract_unswitched
 
@@ -69,11 +72,50 @@ def test_wedge_walk_contracts_every_order(monkeypatch):
         calls[0] += 1
         return real(s, e)
     monkeypatch.setattr(rd, "contract_unswitched", counted)
-    for q, contractions in ((2, 28), (3, 13160)):
+    for q, contractions in ((2, 28), (3, 9024)):
         calls[0] = 0
         reached, total = verify.wedge_classes_reached(q)
         assert reached == set(range(total))
         assert calls[0] == contractions
+
+
+def test_wedge_walk_reaches_the_schemes_of_every_order(monkeypatch):
+    # the one-vertex schemes themselves, not only their classes, are
+    # those of the walk over every contraction order
+    found = set()
+    real = rd.contract_unswitched
+
+    def recorded(s, e):
+        t = real(s, e)
+        if t.graph.n_vertices == 1:
+            found.add(t)
+        return t
+    monkeypatch.setattr(rd, "contract_unswitched", recorded)
+    tables = {}
+    for q, n_schemes in ((2, 10), (3, 276)):
+        walks = []
+        for walk in (verify.wedge_classes_reached, reference_wedge_walk):
+            found.clear()
+            walks.append((walk(q, tables), frozenset(found)))
+        assert walks[0] == walks[1]
+        (reached, total), schemes = walks[0]
+        assert reached == set(range(total))
+        assert len(schemes) == n_schemes
+
+
+def test_wedge_walk_memory_is_pinned():
+    # the walk keeps only its stack; a seen set of every scheme reached
+    # peaked at ~3.8 MB here
+    tables = {}
+    list(verify._tabled_graphs(tables, qs=(3,)))
+    tracemalloc.start()
+    try:
+        reached, total = verify.wedge_classes_reached(3, tables)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reached == set(range(total))
+    assert peak < 1 << 20
 
 
 def test_rank4_spot_checks_trace_each_scheme_once(monkeypatch):
