@@ -141,13 +141,15 @@ def run() -> None:
 def _read(path: str) -> str:
     with open(path, "rb") as fh:
         data = fh.read()
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0  # a byte-order mark
     try:
-        return data.decode("utf-8")
+        return data[start:].decode("utf-8")
     except UnicodeDecodeError as exc:
+        bad = start + exc.start  # counted in the file, mark included
         # number lines as the parsers do (str.splitlines) up to the bad byte
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line = len((data[start:bad].decode("utf-8") + "x").splitlines())
         raise ParseError(line, f"not UTF-8 text: {exc.reason} "
-                               f"at byte {exc.start}") from None
+                               f"at byte {bad}") from None
 
 
 # --- verb handlers: each returns the exact text of its output ---

@@ -198,34 +198,33 @@ class CyclicPart(NamedTuple):
 
 
 def cyclic_part(g: Multigraph) -> CyclicPart:
-    """Iteratively strip degree-1 vertices (with their edges).
+    """Strip degree-1 vertices (with their edges) in rounds, every
+    current leaf at once, in O(V + E): each stripped edge lowers the
+    degree at its other end by one.
 
     If nothing with an edge survives, the result is the single-vertex
     graph placed at the smallest surviving vertex id (or vertex 0 of the
     original graph when everything was stripped away).
     """
-    alive_v = set(range(g.n_vertices))
-    alive_e = set(range(g.n_edges))
-    while True:
-        deg = defaultdict(int)
-        for e in alive_e:
-            u, v = g.edges[e]
-            deg[u] += 1
-            deg[v] += 1
-        leaves = {v for v in alive_v if deg[v] == 1}
-        if not leaves:
-            break
-        alive_v -= leaves
-        alive_e = {e for e in alive_e
-                   if not (set(g.edges[e]) & leaves)}
-    # drop isolated leftovers (possible when stripping ate a whole path)
-    if alive_e:
-        used = {v for e in alive_e for v in g.edges[e]}
-        alive_v &= used
-    else:
-        keep = min(alive_v) if alive_v else 0
-        alive_v = {keep}
-    return CyclicPart(*_restrict(g, alive_v, alive_e))
+    deg = list(g.degrees())
+    darts = g.darts()
+    alive = [True] * g.n_edges
+    kept = set(range(g.n_vertices))
+    leaves = [v for v, d in enumerate(deg) if d == 1]
+    while leaves:
+        kept.difference_update(leaves)
+        later = []
+        for v in leaves:  # two leaves joined by an edge strip it once
+            for h in darts[v]:
+                if alive[h >> 1]:
+                    alive[h >> 1] = False
+                    w = g.edges[h >> 1][~h & 1]
+                    deg[w] -= 1
+                    later.append(w)
+        leaves = {w for w in later if deg[w] == 1 and w in kept}
+    edges = [e for e, a in enumerate(alive) if a]
+    vertices = {v for e in edges for v in g.edges[e]} or {min(kept, default=0)}
+    return CyclicPart(*_restrict(g, vertices, edges))
 
 
 def is_cyclic_part(g: Multigraph) -> bool:
@@ -276,9 +275,7 @@ def _least_form(g: Multigraph) -> tuple:
     label, and backtracking pops it.  A count per vertex of its edges to
     unlabeled vertices moves ``a`` forward without a rescan, and the
     candidates come from the neighbours of ``a``.  The prefix is the
-    finished rows plus row ``a``.  Each node keeps the tie
-    automorphisms that fix its labeled vertices and adds to them only
-    those found since it last looked.  The search tree and the pruning
+    finished rows plus row ``a``.  The search tree and the pruning
     are those of the search that rebuilt every row, so the least list
     is the same.
     """
@@ -339,7 +336,6 @@ def _least_form(g: Multigraph) -> tuple:
         if cands is None:
             cands = [v for v in block[d] if lab[v] < 0]
         tried = set()
-        fixing, seen = [], 0  # the auts that fix order, of auts[:seen]
         for v in cands:
             if v in tried:
                 continue
@@ -364,10 +360,7 @@ def _least_form(g: Multigraph) -> tuple:
                 break
             tried.add(v)
             if auts and len(tried) < len(cands):  # skip v's images
-                # order is fixed at this node, so only auts[seen:] are new
-                fixing += [p for p in auts[seen:]
-                           if all(p[u] == u for u in order)]
-                seen = len(auts)
+                fixing = [p for p in auts if all(p[u] == u for u in order)]
                 stack = [v]
                 while stack:
                     x = stack.pop()

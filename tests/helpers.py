@@ -175,6 +175,36 @@ def reference_least_form(g: Multigraph) -> tuple:
     return tuple(divmod(c, n) for c in best)
 
 
+def reference_cyclic_part(g: Multigraph) -> mg.CyclicPart:
+    """``multigraph.cyclic_part`` as it was before it lowered degrees
+    per stripped edge: every round recounts the degree of every
+    surviving edge, O(V * E).  Both strip every current leaf at once,
+    so the two must return the same record on every graph.
+    """
+    alive_v = set(range(g.n_vertices))
+    alive_e = set(range(g.n_edges))
+    while True:
+        deg = defaultdict(int)
+        for e in alive_e:
+            u, v = g.edges[e]
+            deg[u] += 1
+            deg[v] += 1
+        leaves = {v for v in alive_v if deg[v] == 1}
+        if not leaves:
+            break
+        alive_v -= leaves
+        alive_e = {e for e in alive_e
+                   if not (set(g.edges[e]) & leaves)}
+    # drop isolated leftovers (possible when stripping ate a whole path)
+    if alive_e:
+        used = {v for e in alive_e for v in g.edges[e]}
+        alive_v &= used
+    else:
+        keep = min(alive_v) if alive_v else 0
+        alive_v = {keep}
+    return mg.CyclicPart(*mg._restrict(g, alive_v, alive_e))
+
+
 def reference_wedge_walk(q, tables=None):
     """``verify.wedge_classes_reached`` as it was before it contracted
     each forest in edge-id order: every contraction order is walked,

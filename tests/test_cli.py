@@ -464,6 +464,27 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     assert "line 3: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_utf8_byte_order_mark_is_skipped(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(THETA, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + THETA.encode())
+    for verb in ("trace", "structures"):
+        outs = []
+        for p in (plain, marked):
+            assert cli.main([verb, "--input", str(p)]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
+    # a bad byte keeps its line, and its offset counts the mark
+    marked.write_bytes(b"\xef\xbb\xbf" + THETA.encode()
+                       .replace(b"vertex 1", b"vertex \xe9"))
+    assert cli.main(["trace", "--input", str(marked)]) == 2
+    assert capsys.readouterr().err == (
+        "clstruct: error: line 3: not UTF-8 text: invalid continuation "
+        "byte at byte 31\n")
+
+
 ODD_NAME = 'a<b&"\\'
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import defaultdict
 
 import pytest
@@ -8,7 +9,8 @@ from clstruct import classify, verify
 from clstruct import multigraph as mg
 from clstruct.errors import (Disconnected, EndpointOutOfRange, ParseError,
                              TooLarge)
-from helpers import fundamental_cycle_basis, reference_least_form
+from helpers import (fundamental_cycle_basis, reference_cyclic_part,
+                     reference_least_form)
 
 
 def theta():
@@ -86,6 +88,14 @@ def test_loops_are_never_bridges():
     assert mg.bridges_and_components(g).bridges == ()
 
 
+def path(n):
+    return mg.build(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def star(n, centre):
+    return mg.build(n, [(centre, v) for v in range(n) if v != centre])
+
+
 def test_cyclic_part_strips_trees():
     # path with a pendant triangle: leaves vanish, triangle survives
     g = mg.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 3)])
@@ -97,10 +107,16 @@ def test_cyclic_part_strips_trees():
 
 
 def test_cyclic_part_of_tree_is_point():
-    g = mg.build(4, [(0, 1), (1, 2), (1, 3)])
-    part = mg.cyclic_part(g)
-    assert part.graph.n_vertices == 1
-    assert part.graph.n_edges == 0
+    # every round strips all current leaves: a star keeps its centre, a
+    # 5-vertex path its middle, and a 4-vertex path, whose last two
+    # vertices go in one round, vertex 0
+    cases = [(mg.build(4, [(0, 1), (1, 2), (1, 3)]), 1), (star(6, 3), 3),
+             (path(5), 2), (path(4), 0), (path(2), 0), (path(1), 0)]
+    for g, kept in cases:
+        part = mg.cyclic_part(g)
+        assert part.graph == mg.build(1, [])
+        assert part.vertex_map == {kept: 0}
+        assert part.edge_map == {}
 
 
 def test_cyclic_part_idempotent():
@@ -110,6 +126,37 @@ def test_cyclic_part_idempotent():
     assert mg.is_cyclic_part(g)
     assert not mg.is_cyclic_part(mg.build(2, [(0, 1)]))
     assert mg.is_cyclic_part(mg.build(1, []))
+
+
+def test_cyclic_part_matches_reference():
+    # the same whole record, maps included, as the loop that recounted
+    # every degree each round: seeded draws (pendant trees on cycles,
+    # loops, parallel edges), and every path, star and seeded tree
+    rng = random.Random(33)
+    graphs = [verify.random_multigraph(rng, 12, 4) for _ in range(1500)]
+    for n in range(1, 14):
+        graphs.append(path(n))
+        graphs += [star(n, c) for c in range(n)]
+        for _ in range(20):
+            ids = list(range(n))
+            rng.shuffle(ids)
+            graphs.append(mg.build(n, [(ids[rng.randrange(v)], ids[v])
+                                       for v in range(1, n)]))
+    assert sum(mg.cycle_rank(g) == 0 for g in graphs) > 300
+    for g in graphs:
+        assert mg.cyclic_part(g) == reference_cyclic_part(g), g
+
+
+def test_cyclic_part_strips_a_long_pendant_path_in_linear_time():
+    n = 3000
+    g = mg.build(n + 3, [(0, 1), (1, 2), (2, 0)]
+                 + [(v, v + 1) for v in range(2, n + 2)])
+    t0 = time.perf_counter()
+    part = mg.cyclic_part(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert part.graph == mg.build(3, [(0, 1), (1, 2), (2, 0)])
+    assert part.vertex_map == {0: 0, 1: 1, 2: 2}
+    assert part.edge_map == {0: 0, 1: 1, 2: 2}
 
 
 def test_bridges_components_and_tree_against_networkx():

@@ -402,6 +402,34 @@ def test_component_subscheme_dumbbell():
     assert [sch.boundary_trace(t).b for t in subs] == [1, 1]
 
 
+def _bridge_additivity_holds(s):
+    # deleting a bridge band cuts one boundary circle in two, so
+    # b - 1 adds up over the 2-connected components
+    comps = mg.bridges_and_components(s.graph).components
+    return sch.boundary_trace(s).b - 1 == sum(
+        sch.boundary_trace(sch.component_subscheme(s, c)).b - 1
+        for c in comps)
+
+
+def test_boundary_count_adds_over_bridges():
+    rng = random.Random(13)
+    bridged = [g for g in cf.generate_cubic_graphs(4)
+               if mg.bridges_and_components(g).bridges]
+    assert len(bridged) == 12
+    for g in bridged:
+        for _ in range(50):
+            assert _bridge_additivity_holds(verify.random_scheme(rng, g))
+    drawn = [s for s in (verify.random_scheme(rng) for _ in range(3000))
+             if mg.bridges_and_components(s.graph).bridges]
+    assert len(drawn) > 1000
+    for s in drawn:
+        assert _bridge_additivity_holds(s), s
+    # the draws include loops, degree > 3 and pendant trees
+    assert any(u == v for s in drawn for u, v in s.graph.edges)
+    assert any(max(s.graph.degrees()) > 3 for s in drawn)
+    assert any(not mg.is_cyclic_part(s.graph) for s in drawn)
+
+
 def test_component_subscheme_whole_graph():
     s = theta_scheme([0, 1, 1])
     comp = mg.bridges_and_components(s.graph).components[0]
